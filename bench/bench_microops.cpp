@@ -8,11 +8,14 @@
 // rests on — cache-tree growth, the rdist metric (Definition 4.2), the
 // selection functions of Fig. 9, canonical fingerprinting, oracle-choice
 // enumeration (the checker's successor fan-out), SRaft protocol rounds,
-// and the ADO baseline's operations. Uses google-benchmark.
+// and the ADO baseline's operations — plus the production core's hot
+// path (core::RaftCore) at several log lengths, whose per-call time must
+// not grow with the log. Uses google-benchmark.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ado/Ado.h"
+#include "core/RaftCore.h"
 #include "adore/Invariants.h"
 #include "adore/Ops.h"
 #include "kv/KvStore.h"
@@ -218,6 +221,66 @@ void BM_SimClusterRequest(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_SimClusterRequest);
+
+/// A follower (node 2 of {1, 2, 3}) recovered with \p Len committed term-1
+/// entries, the first of them a Reconfig: the worst case for anything
+/// that looks the configuration up by scanning back through the log.
+core::RaftCore makeLongLogFollower(const ReconfigScheme &Scheme, size_t Len) {
+  Config Conf(NodeSet{1, 2, 3});
+  std::vector<core::LogEntry> Log(Len);
+  for (core::LogEntry &E : Log)
+    E.Term = 1;
+  Log[0].Kind = raft::EntryKind::Reconfig;
+  Log[0].Conf = Conf;
+  core::RaftCore C(2, Scheme, Conf, core::CoreOptions(), 7);
+  C.installDurableState(1, std::nullopt, std::move(Log), Len);
+  C.start();
+  return C;
+}
+
+/// The configuration lookup every core step makes (passivity, quorum
+/// checks, broadcasts, read rounds).
+void BM_CoreConfig(benchmark::State &State) {
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  core::RaftCore C =
+      makeLongLogFollower(*Scheme, static_cast<size_t>(State.range(0)));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(C.config().Members.size());
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_CoreConfig)->Arg(1 << 10)->Arg(1 << 16);
+
+/// One follower AppendEntries step at a fixed log length: each frame
+/// replaces the tail entry (alternating its term, so the follower
+/// truncates one slot and appends one), which runs the consistency
+/// check, the truncate/append splice, passivity, commit and the reply.
+void BM_CoreStepAppendEntries(benchmark::State &State) {
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  size_t Len = static_cast<size_t>(State.range(0));
+  core::RaftCore C = makeLongLogFollower(*Scheme, Len);
+  core::Msg Frames[2];
+  for (Time T : {1, 2}) {
+    core::Msg &M = Frames[T - 1];
+    M.K = core::Msg::Kind::AppendEntries;
+    M.From = 1;
+    M.To = 2;
+    M.Term = 2;
+    M.PrevIndex = Len;
+    M.PrevTerm = 1;
+    M.Entries.resize(1);
+    M.Entries[0].Term = T;
+    M.LeaderCommit = Len;
+  }
+  size_t I = 0;
+  for (auto _ : State) {
+    core::Effects Out = C.onMessage(Frames[I++ & 1], /*NowUs=*/1);
+    benchmark::DoNotOptimize(Out.data());
+  }
+  if (C.logSize() != Len + 1)
+    State.SkipWithError("log length drifted");
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_CoreStepAppendEntries)->Arg(1 << 10)->Arg(1 << 16);
 
 } // namespace
 

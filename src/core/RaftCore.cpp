@@ -265,6 +265,7 @@ void RaftCore::installDurableState(Time NewTerm, std::optional<NodeId> Vote,
   Term = NewTerm;
   VotedFor = Vote;
   Log = std::move(NewLog);
+  ConfIdx = raft::lastReconfigIndex(Log, Log.size());
   // The durable commit record is advisory (it rides the next sync
   // batch), so it may lag what this replica already acked; never move
   // the commit index backwards, and never past the recovered log.
@@ -307,18 +308,12 @@ Effects RaftCore::step(const Input &In, uint64_t NowUs) {
 // Configuration helpers
 //===----------------------------------------------------------------------===//
 
-Config RaftCore::configOfPrefix(size_t Len) const {
-  return raft::configOfPrefix(Log, Len, InitialConf);
+const Config &RaftCore::configOfPrefix(size_t Len) const {
+  assert(Len <= Log.size() && "prefix out of range");
+  return confAt(Len >= ConfIdx ? ConfIdx : raft::lastReconfigIndex(Log, Len));
 }
 
-Config RaftCore::config() const { return configOfPrefix(Log.size()); }
-
-bool RaftCore::logSatisfiesR2() const {
-  for (size_t I = CommitIndex; I != Log.size(); ++I)
-    if (Log[I].Kind == EntryKind::Reconfig)
-      return false;
-  return true;
-}
+bool RaftCore::logSatisfiesR2() const { return ConfIdx <= CommitIndex; }
 
 bool RaftCore::logSatisfiesR3() const {
   for (size_t I = CommitIndex; I > 0; --I)
@@ -588,25 +583,12 @@ void RaftCore::onAppendEntries(const Msg &M, uint64_t NowUs, Effects &Out) {
     return;
   }
 
-  // Append, truncating conflicting suffixes.
-  size_t Idx = M.PrevIndex;
-  for (const LogEntry &E : M.Entries) {
-    ++Idx;
-    if (Idx <= Log.size()) {
-      if (Log[Idx - 1].Term == E.Term)
-        continue; // Already have it.
-      Log.resize(Idx - 1); // Conflict: drop our suffix.
-      Dirty = true;
-    }
-    Log.push_back(E);
-    Dirty = true;
-  }
-  updatePassivity();
+  spliceEntries(M.PrevIndex, M.Entries);
   size_t NewCommit = std::min(M.LeaderCommit, Log.size());
   if (NewCommit > CommitIndex)
     applyUpTo(NewCommit, Out);
   Reply.Success = true;
-  Reply.MatchIndex = std::max(Idx, M.PrevIndex + M.Entries.size());
+  Reply.MatchIndex = M.PrevIndex + M.Entries.size();
   Out.push_back(Effect::send(std::move(Reply)));
 }
 
@@ -725,19 +707,7 @@ void RaftCore::onInstallSnapshot(const Msg &M, uint64_t NowUs, Effects &Out) {
     Out.push_back(Effect::send(std::move(Reply)));
     return;
   }
-  size_t Idx = 0;
-  for (const LogEntry &E : SnapLog) {
-    ++Idx;
-    if (Idx <= Log.size()) {
-      if (Log[Idx - 1].Term == E.Term)
-        continue; // Already have it.
-      Log.resize(Idx - 1); // Conflict: drop our suffix.
-      Dirty = true;
-    }
-    Log.push_back(E);
-    Dirty = true;
-  }
-  updatePassivity();
+  spliceEntries(0, SnapLog);
   // Everything the snapshot covers was committed at the leader.
   applyUpTo(std::min(M.SnapIndex, Log.size()), Out);
   ++SnapshotsInstalledCount;
@@ -1142,12 +1112,41 @@ void RaftCore::onReadIndexReply(const Msg &M, uint64_t NowUs, Effects &Out) {
 // Leader machinery
 //===----------------------------------------------------------------------===//
 
-void RaftCore::appendOwn(LogEntry Entry, Effects &Out) {
+void RaftCore::appendOwn(LogEntry Entry, Effects &Out, bool MayDefer) {
+  if (Entry.Kind == EntryKind::Reconfig)
+    ConfIdx = Log.size() + 1;
   Log.push_back(std::move(Entry));
   Dirty = true;
   updatePassivity();
-  broadcastAppends(Out);
-  advanceCommit(Out); // Singleton configurations commit instantly.
+  // Coalesced path: a deferrable entry waits for the batch to fill, so
+  // one AppendEntries frame carries the whole burst. Any other broadcast
+  // — heartbeat, noop, reconfig, commit-advance — flushes a partial
+  // batch first, bounding the added latency by one heartbeat interval.
+  if (MayDefer && Opts.MaxAppendBatch > 1 &&
+      ++PendingBatch < Opts.MaxAppendBatch)
+    return;
+  broadcastAppends(Out); // Resets PendingBatch.
+  advanceCommit(Out);    // Singleton configurations commit instantly.
+}
+
+void RaftCore::spliceEntries(size_t Prev,
+                             const std::vector<LogEntry> &Entries) {
+  size_t Idx = Prev;
+  for (const LogEntry &E : Entries) {
+    ++Idx;
+    if (Idx <= Log.size()) {
+      if (Log[Idx - 1].Term == E.Term)
+        continue; // Already have it.
+      Log.resize(Idx - 1); // Conflict: drop our suffix.
+      if (ConfIdx >= Idx) // The newest reconfig went with it.
+        ConfIdx = raft::lastReconfigIndex(Log, Log.size());
+    }
+    Log.push_back(E);
+    if (E.Kind == EntryKind::Reconfig)
+      ConfIdx = Log.size();
+    Dirty = true;
+  }
+  updatePassivity();
 }
 
 void RaftCore::replicateTo(NodeId Peer, Effects &Out) {
@@ -1299,23 +1298,7 @@ bool RaftCore::submit(MethodId Method, uint64_t ClientSeq, Effects &Out) {
   E.Kind = EntryKind::Method;
   E.Method = Method;
   E.ClientSeq = ClientSeq;
-  if (Opts.MaxAppendBatch > 1) {
-    // Coalesced path: append locally but defer the broadcast until the
-    // batch fills, so one AppendEntries frame carries the whole burst.
-    // Any other broadcast — heartbeat, noop, reconfig, commit-advance —
-    // flushes a partial batch first, bounding the added latency by one
-    // heartbeat interval.
-    Log.push_back(std::move(E));
-    Dirty = true;
-    updatePassivity();
-    if (++PendingBatch >= Opts.MaxAppendBatch) {
-      broadcastAppends(Out); // Resets PendingBatch.
-      advanceCommit(Out);    // Singleton configurations commit instantly.
-    }
-    finishStep(Out);
-    return true;
-  }
-  appendOwn(std::move(E), Out);
+  appendOwn(std::move(E), Out, /*MayDefer=*/true);
   finishStep(Out);
   return true;
 }

@@ -434,8 +434,13 @@ public:
     return Log[Index1 - 1];
   }
   const std::vector<LogEntry> &log() const { return Log; }
-  /// The configuration currently in force (hot semantics).
-  Config config() const;
+  /// The configuration currently in force (hot semantics). O(1): the
+  /// newest Reconfig entry's index is kept as derived state (ConfIdx).
+  /// The reference is invalidated by the next log mutation.
+  const Config &config() const { return confAt(ConfIdx); }
+  /// The configuration in force after the first \p Len log entries;
+  /// scans the log only for prefixes that end before ConfIdx.
+  const Config &configOfPrefix(size_t Len) const;
   /// The leader this node last heard from (its redirect hint).
   std::optional<NodeId> leaderHint() const { return LeaderHint; }
   /// True once the node has observed its own committed removal and gone
@@ -658,7 +663,9 @@ private:
   /// retransmission path for windowed frames lost in flight.
   void broadcastAppends(Effects &Out, bool ResetPipe = false);
   void advanceCommit(Effects &Out);
-  void appendOwn(LogEntry Entry, Effects &Out);
+  /// Appends a leader-created entry and broadcasts it, unless \p MayDefer
+  /// lets it wait in a partial append batch (MaxAppendBatch > 1).
+  void appendOwn(LogEntry Entry, Effects &Out, bool MayDefer = false);
   /// Builds and emits one AppendEntries frame carrying
   /// [Next, min(lastLogIndex, Next - 1 + MaxEntriesPerAppend)].
   /// Returns one past the last index shipped (== Next for an empty
@@ -674,7 +681,17 @@ private:
   // Log helpers (1-based).
   Time lastLogTerm() const { return raft::lastLogTerm(Log); }
   size_t lastLogIndex() const { return Log.size(); }
-  Config configOfPrefix(size_t Len) const;
+  /// The configuration a Reconfig entry at 1-based \p Index installs,
+  /// InitialConf for index 0.
+  const Config &confAt(size_t Index) const {
+    assert(Index <= Log.size() && "configuration index past the log");
+    return Index == 0 ? InitialConf : Log[Index - 1].Conf;
+  }
+  /// Appends \p Entries after slot \p Prev, keeping entries whose term
+  /// already matches and truncating our suffix at the first conflict —
+  /// the follower half of log replication (AppendEntries, snapshot
+  /// install). Maintains ConfIdx and passivity.
+  void spliceEntries(size_t Prev, const std::vector<LogEntry> &Entries);
   void applyUpTo(size_t Index, Effects &Out);
   void updatePassivity();
 
@@ -691,6 +708,11 @@ private:
   Time Term = 0;
   std::optional<NodeId> VotedFor;
   std::vector<LogEntry> Log;
+  /// 1-based index of the newest Reconfig entry in Log, 0 if none (the
+  /// initial configuration is in force). A pure function of Log, so it
+  /// is kept out of addToSink; the three places that mutate Log — own
+  /// appends, spliceEntries and installDurableState — maintain it.
+  size_t ConfIdx = 0;
   size_t CommitIndex = 0;
   size_t Applied = 0;
   NodeSet Votes;

@@ -190,6 +190,8 @@ public:
           return V;
       }
     for (const core::RaftCore &C : St.Cores) {
+      if (auto V = checkConfigCache(C))
+        return V;
       if (auto V = checkReconfigSpacing(C))
         return V;
       if (auto V = checkReconfigTermPrecedence(C))
@@ -589,6 +591,19 @@ private:
         return "committed logs disagree: nodes " + std::to_string(A.id()) +
                " and " + std::to_string(B.id()) + " at index " +
                std::to_string(I);
+    return std::nullopt;
+  }
+
+  /// The core's cached configuration must equal a full scan of its log,
+  /// for the whole log and every prefix of it.
+  std::optional<std::string> checkConfigCache(const core::RaftCore &C) const {
+    if (C.config() != raft::configOfPrefix(C.log(), C.logSize(), InitialConf))
+      return "config cache stale: node " + std::to_string(C.id()) +
+             " runs under " + C.config().str();
+    for (size_t K = 0; K != C.logSize(); ++K)
+      if (C.configOfPrefix(K) != raft::configOfPrefix(C.log(), K, InitialConf))
+        return "config cache stale: node " + std::to_string(C.id()) +
+               " misreports the config of prefix " + std::to_string(K);
     return std::nullopt;
   }
 

@@ -69,17 +69,25 @@ bool logUpToDate(const std::vector<EntryA> &A, const std::vector<EntryB> &B) {
                               B.size());
 }
 
+/// The 1-based index of the newest Reconfig entry among the first \p Len
+/// entries of \p Log; 0 if there is none.
+template <typename EntryT>
+size_t lastReconfigIndex(const std::vector<EntryT> &Log, size_t Len) {
+  assert(Len <= Log.size() && "prefix out of range");
+  for (size_t I = Len; I > 0; --I)
+    if (Log[I - 1].Kind == EntryKind::Reconfig)
+      return I;
+  return 0;
+}
+
 /// The configuration in force after the first \p Len entries of \p Log
 /// under hot semantics (a Reconfig entry acts upon insertion): the newest
 /// Reconfig entry in the prefix wins, \p Initial if there is none.
 template <typename EntryT>
 Config configOfPrefix(const std::vector<EntryT> &Log, size_t Len,
                       const Config &Initial) {
-  assert(Len <= Log.size() && "prefix out of range");
-  for (size_t I = Len; I > 0; --I)
-    if (Log[I - 1].Kind == EntryKind::Reconfig)
-      return Log[I - 1].Conf;
-  return Initial;
+  size_t I = lastReconfigIndex(Log, Len);
+  return I == 0 ? Initial : Log[I - 1].Conf;
 }
 
 /// One slot of a replica's log.

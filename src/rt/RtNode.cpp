@@ -369,14 +369,16 @@ void RtNode::dispatch(core::Effects Effs) {
 }
 
 void RtNode::publishStatus() {
-  RtNodeStatus S;
-  S.Role = Core.role();
-  S.Term = Core.term();
-  S.CommitIndex = Core.commitIndex();
-  S.LogSize = Core.logSize();
-  S.Crashed = Core.isCrashed();
-  S.Passive = Core.isPassive();
-  S.Conf = Core.config();
+  const Config &Conf = Core.config();
   sync::MutexLock Lock(StatusMu);
-  Cached = S;
+  Cached.Role = Core.role();
+  Cached.Term = Core.term();
+  Cached.CommitIndex = Core.commitIndex();
+  Cached.LogSize = Core.logSize();
+  Cached.Crashed = Core.isCrashed();
+  Cached.Passive = Core.isPassive();
+  // The configuration moves only at a reconfig append or a truncation
+  // past one; skip copying its member sets on every other dispatch.
+  if (Cached.Conf != Conf)
+    Cached.Conf = Conf;
 }

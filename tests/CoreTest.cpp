@@ -1292,3 +1292,171 @@ TEST(PipelineTest, UnitWindowAndBatchReproduceLegacySchedule) {
   EXPECT_EQ(B.inFlightTo(2), 0u);
   EXPECT_EQ(A.pendingBatch(), 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Configuration cache: config() and configOfPrefix() must always agree
+// with a full scan of the log, across every kind of log mutation.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+::testing::AssertionResult configMatchesScan(const RaftCore &C,
+                                             const Config &Initial) {
+  Config Scanned = raft::configOfPrefix(C.log(), C.logSize(), Initial);
+  if (C.config() != Scanned)
+    return ::testing::AssertionFailure()
+           << "config() " << C.config().str() << " but the log says "
+           << Scanned.str();
+  for (size_t K = 0; K <= C.logSize(); ++K) {
+    Scanned = raft::configOfPrefix(C.log(), K, Initial);
+    if (C.configOfPrefix(K) != Scanned)
+      return ::testing::AssertionFailure()
+             << "configOfPrefix(" << K << ") " << C.configOfPrefix(K).str()
+             << " but the log says " << Scanned.str();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+LogEntry methodEntry(Time Term, MethodId Method = 0) {
+  LogEntry E;
+  E.Term = Term;
+  E.Method = Method;
+  return E;
+}
+
+LogEntry reconfigEntry(Time Term, Config Conf) {
+  LogEntry E;
+  E.Term = Term;
+  E.Kind = raft::EntryKind::Reconfig;
+  E.Conf = std::move(Conf);
+  return E;
+}
+
+Msg appendFrom(NodeId From, Time Term, size_t PrevIndex, Time PrevTerm,
+               std::vector<LogEntry> Entries) {
+  Msg App;
+  App.K = Msg::Kind::AppendEntries;
+  App.From = From;
+  App.To = 2;
+  App.Term = Term;
+  App.PrevIndex = PrevIndex;
+  App.PrevTerm = PrevTerm;
+  App.Entries = std::move(Entries);
+  return App;
+}
+
+/// Leader 1 with its no-op committed (acked by node 2), so R2/R3 hold.
+RaftCore makeCommittedLeader(const CoreHarness &H) {
+  RaftCore C = H.make(1);
+  C.start();
+  electLeader(C);
+  ackFrom(C, 2, C.logSize());
+  EXPECT_EQ(C.commitIndex(), C.logSize());
+  return C;
+}
+
+} // namespace
+
+TEST(ConfigCacheTest, OwnAppendsAndReconfigAppendKeepCacheExact) {
+  for (size_t Batch : {size_t(1), size_t(4)}) {
+    SCOPED_TRACE("MaxAppendBatch=" + std::to_string(Batch));
+    CoreHarness H;
+    H.Opts.MaxAppendBatch = Batch;
+    RaftCore C = makeCommittedLeader(H);
+    EXPECT_TRUE(configMatchesScan(C, H.Conf));
+
+    Effects Out;
+    ASSERT_TRUE(C.submit(7, 1, Out));
+    EXPECT_TRUE(configMatchesScan(C, H.Conf));
+
+    Config Shrunk(NodeSet{1, 2});
+    ASSERT_TRUE(C.requestReconfig(Shrunk, Out));
+    EXPECT_EQ(C.config(), Shrunk);
+    EXPECT_EQ(C.configOfPrefix(C.logSize() - 1), H.Conf);
+    EXPECT_TRUE(configMatchesScan(C, H.Conf));
+
+    ASSERT_TRUE(C.submit(8, 2, Out)); // Methods inherit the new config.
+    EXPECT_EQ(C.config(), Shrunk);
+    EXPECT_TRUE(configMatchesScan(C, H.Conf));
+  }
+}
+
+TEST(ConfigCacheTest, ConflictingAppendTruncatingAReconfigRevertsConfig) {
+  CoreHarness H;
+  RaftCore F = H.make(2);
+  F.start();
+  Config Grown(NodeSet{1, 2, 3, 4});
+  Config Shrunk(NodeSet{1, 2});
+  F.onMessage(appendFrom(1, 1, 0, 0,
+                         {methodEntry(1), reconfigEntry(1, Grown),
+                          methodEntry(1), reconfigEntry(1, Shrunk)}),
+              0);
+  ASSERT_EQ(F.logSize(), 4u);
+  EXPECT_EQ(F.config(), Shrunk);
+  EXPECT_TRUE(configMatchesScan(F, H.Conf));
+
+  // Term 2 overwrites slot 4: the newest reconfig goes, Grown is back.
+  F.onMessage(appendFrom(3, 2, 3, 1, {methodEntry(2, 9)}), 0);
+  ASSERT_EQ(F.logSize(), 4u);
+  EXPECT_EQ(F.config(), Grown);
+  EXPECT_TRUE(configMatchesScan(F, H.Conf));
+
+  // Term 3 overwrites slot 2: no reconfig survives, the initial config
+  // is in force again.
+  F.onMessage(appendFrom(1, 3, 1, 1, {methodEntry(3), methodEntry(3)}), 0);
+  ASSERT_EQ(F.logSize(), 3u);
+  EXPECT_EQ(F.config(), H.Conf);
+  EXPECT_TRUE(configMatchesScan(F, H.Conf));
+}
+
+TEST(ConfigCacheTest, SnapshotInstallOverDivergentSuffixRevertsConfig) {
+  CoreHarness H;
+  RaftCore F = H.make(2);
+  F.start();
+  Config Grown(NodeSet{1, 2, 3, 4});
+  F.onMessage(appendFrom(1, 1, 0, 0, {methodEntry(1), reconfigEntry(1, Grown)}),
+              0);
+  ASSERT_EQ(F.config(), Grown);
+
+  // A term-2 leader's committed prefix diverges at slot 2 and carries
+  // no reconfig.
+  std::vector<LogEntry> SnapLog{methodEntry(1), methodEntry(2),
+                                methodEntry(2, 5)};
+  Msg Snap;
+  Snap.K = Msg::Kind::InstallSnapshot;
+  Snap.From = 3;
+  Snap.To = 2;
+  Snap.Term = 2;
+  Snap.SnapIndex = SnapLog.size();
+  Snap.SnapTerm = 2;
+  Snap.Chunk = codec::encodeSnapshotPayload(SnapLog, SnapLog.size());
+  Snap.Done = true;
+  F.onMessage(Snap, 0);
+  ASSERT_EQ(F.snapshotsInstalled(), 1u);
+  ASSERT_EQ(F.log(), SnapLog);
+  EXPECT_EQ(F.config(), H.Conf);
+  EXPECT_TRUE(configMatchesScan(F, H.Conf));
+}
+
+TEST(ConfigCacheTest, InstallDurableStateRescansTheRecoveredLog) {
+  CoreHarness H;
+  RaftCore C = makeCommittedLeader(H);
+  Config Shrunk(NodeSet{1, 2});
+  Effects Out;
+  ASSERT_TRUE(C.requestReconfig(Shrunk, Out));
+  std::vector<LogEntry> Full = C.log();
+
+  // The store lost the unsynced reconfig: recovery reverts the config.
+  C.crash();
+  std::vector<LogEntry> Lost(Full.begin(), Full.end() - 1);
+  C.installDurableState(C.term(), C.votedFor(), Lost, C.commitIndex());
+  EXPECT_EQ(C.config(), H.Conf);
+  EXPECT_TRUE(configMatchesScan(C, H.Conf));
+
+  // A store that kept it brings it back.
+  C.installDurableState(C.term(), C.votedFor(), Full, C.commitIndex());
+  EXPECT_EQ(C.config(), Shrunk);
+  EXPECT_TRUE(configMatchesScan(C, H.Conf));
+  C.restart();
+  EXPECT_TRUE(configMatchesScan(C, H.Conf));
+}

@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 using namespace adore;
 using namespace adore::store;
@@ -838,11 +840,21 @@ TEST(StoreRtTest, StoreBackedRtClusterSurvivesCrashRestart) {
   for (MethodId M = 1; M <= 3; ++M)
     EXPECT_TRUE(C.submitAndWait(M, 3000));
 
+  // crash() and restart() are only enqueued on the victim's worker; wait
+  // until each has been processed, or stop() can win the race and skip
+  // the restart's store recovery.
   NodeId Victim = Leader == 3 ? 2 : 3;
+  auto VictimReaches = [&](bool Crashed) {
+    for (int I = 0; I != 5000 && C.nodeStatus(Victim).Crashed != Crashed; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return C.nodeStatus(Victim).Crashed == Crashed;
+  };
   C.crash(Victim);
+  ASSERT_TRUE(VictimReaches(/*Crashed=*/true));
   EXPECT_TRUE(C.submitAndWait(4, 3000));
   C.restart(Victim);
   EXPECT_TRUE(C.submitAndWait(5, 3000));
+  ASSERT_TRUE(VictimReaches(/*Crashed=*/false));
 
   C.stop();
   std::vector<std::string> Violations = C.checkFinalAgreement();
