@@ -9,8 +9,8 @@
 // selection functions of Fig. 9, canonical fingerprinting, oracle-choice
 // enumeration (the checker's successor fan-out), SRaft protocol rounds,
 // and the ADO baseline's operations — plus the production core's hot
-// path (core::RaftCore) at several log lengths, whose per-call time must
-// not grow with the log. Uses google-benchmark.
+// path (core::RaftCore) and the store's persist at several log lengths,
+// whose per-call time must not grow with the log. Uses google-benchmark.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "mc/AdoreModel.h"
 #include "mc/Explorer.h"
 #include "raft/SRaft.h"
+#include "store/NodeStore.h"
 
 #include <benchmark/benchmark.h>
 
@@ -281,6 +282,44 @@ void BM_CoreStepAppendEntries(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_CoreStepAppendEntries)->Arg(1 << 10)->Arg(1 << 16);
+
+/// A store's persist of one follower step at a fixed log length: two
+/// cores whose logs differ only in the tail slot's term alternate, so
+/// each call diffs from the slot the step changed and writes a Truncate
+/// plus an Append record (no fsync: the write path's diff cost alone).
+void BM_StorePersist(benchmark::State &State) {
+  auto Scheme = makeScheme(SchemeKind::RaftSingleNode);
+  size_t Len = static_cast<size_t>(State.range(0));
+  Config Conf(NodeSet{1, 2, 3});
+  std::vector<core::RaftCore> Cores;
+  for (Time T : {1, 2}) {
+    std::vector<core::LogEntry> Log(Len + 1);
+    for (core::LogEntry &E : Log)
+      E.Term = 1;
+    Log.back().Term = T;
+    Cores.emplace_back(2, *Scheme, Conf, core::CoreOptions(), 7);
+    Cores.back().installDurableState(2, std::nullopt, std::move(Log), Len);
+  }
+  store::MemVfs Disk(1);
+  store::NodeStore Store(Disk, "n2");
+  if (Store.open().Error || !Store.persistFrom(Cores[0], 1) || !Store.sync()) {
+    State.SkipWithError("store setup failed");
+    return;
+  }
+  const std::string Seg = "n2/" + store::segmentName(Store.segmentSeq());
+  size_t I = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(Store.persistFrom(Cores[++I & 1], Len + 1));
+    if ((I & 4095) == 0) {
+      // Keep the in-memory segment small; the store only ever appends.
+      State.PauseTiming();
+      Disk.truncate(Seg, store::SegmentHeaderBytes);
+      State.ResumeTiming();
+    }
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_StorePersist)->Arg(1 << 10)->Arg(1 << 16);
 
 } // namespace
 

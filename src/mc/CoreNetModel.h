@@ -9,10 +9,11 @@
 /// vector of core::RaftCore values (the exact translation unit the sim
 /// and rt runtimes execute) plus the in-flight message multiset and the
 /// armed-timer bits, and a transition is one timer firing, one client or
-/// admin input, or one message delivery. Where mc/RaftNetModel.h
-/// explores the network-level *specification*, this model closes the
-/// last gap in the story: the code the chaos suite bombards is the code
-/// the checker exhaustively explores on small clusters.
+/// admin input, one host idle flush of a partial append batch, or one
+/// message delivery. Where mc/RaftNetModel.h explores the network-level
+/// *specification*, this model closes the last gap in the story: the
+/// code the chaos suite bombards is the code the checker exhaustively
+/// explores on small clusters.
 ///
 /// Time is abstracted to the two instants the protocol can distinguish:
 /// "a live leader was heard from recently" (NowRecent, inside the Raft
@@ -287,6 +288,16 @@ public:
           absorb(Next, I, std::move(Effs));
           Fn(std::move(Next), "submit(" + Nid + ")");
         }
+      }
+      // Idle flush: the host found its inbox drained and broadcasts the
+      // partial append batch (only ever pending with MaxAppendBatch > 1,
+      // so default-tuning explorations are unchanged).
+      if (C.pendingBatch() > 0) {
+        State Next = St;
+        core::Effects Effs;
+        Next.Cores[I].flushAppendBatch(Effs);
+        absorb(Next, I, std::move(Effs));
+        Fn(std::move(Next), "flush(" + Nid + ")");
       }
       // Admin reconfig.
       if (Opts.WithReconfig && C.isLeader() && !C.isCrashed() &&

@@ -98,12 +98,26 @@ NodeSet RtCluster::universe() const {
 }
 
 Config RtCluster::currentConfig() const {
-  for (const auto &N : Nodes) {
-    RtNodeStatus S = N->status();
-    if (!S.Crashed && S.Role == core::Role::Leader)
-      return S.Conf;
-  }
+  if (RtNode *L = liveNode(/*Leader=*/true))
+    return L->status().Conf;
   return InitialConf;
+}
+
+RtNode *RtCluster::liveNode(bool Leader) const {
+  for (const auto &N : Nodes) {
+    std::optional<core::Role> R = N->liveRole();
+    if (R && (*R == core::Role::Leader) == Leader)
+      return N.get();
+  }
+  return nullptr;
+}
+
+RtNode *RtCluster::leaderOr(size_t Rotor) const {
+  // Prefer the node that currently claims leadership; fall back to
+  // round-robin so a stale claim cannot wedge the client.
+  if (RtNode *L = liveNode(/*Leader=*/true))
+    return L;
+  return Nodes[Rotor % Nodes.size()].get();
 }
 
 store::StoreStats RtCluster::storeStats() const {
@@ -141,11 +155,8 @@ void RtCluster::stop() {
 NodeId RtCluster::waitForLeader(uint64_t TimeoutMs) const {
   auto Deadline = deadlineIn(TimeoutMs);
   for (;;) {
-    for (const auto &N : Nodes) {
-      RtNodeStatus S = N->status();
-      if (!S.Crashed && S.Role == core::Role::Leader)
-        return N->id();
-    }
+    if (RtNode *L = liveNode(/*Leader=*/true))
+      return L->id();
     if (std::chrono::steady_clock::now() >= Deadline)
       return InvalidNodeId;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -161,21 +172,9 @@ bool RtCluster::submitAndWait(MethodId Method, uint64_t TimeoutMs) {
   auto Deadline = deadlineIn(TimeoutMs);
   size_t Rotor = 0;
   for (;;) {
-    // Prefer the node that currently claims leadership; fall back to
-    // round-robin so a stale claim cannot wedge the client.
-    RtNode *Target = nullptr;
-    for (const auto &N : Nodes) {
-      RtNodeStatus S = N->status();
-      if (!S.Crashed && S.Role == core::Role::Leader) {
-        Target = N.get();
-        break;
-      }
-    }
-    if (!Target)
-      Target = Nodes[Rotor++ % Nodes.size()].get();
     // At-least-once with a stable sequence number: re-sending after an
     // unobserved commit is harmless because commitment is keyed by Seq.
-    Target->submit(Method, Seq);
+    leaderOr(Rotor++)->submit(Method, Seq);
 
     // Open-coded predicate wait (rather than the wait_until overload
     // taking a lambda): the predicate reads ObsMu-guarded state, and a
@@ -196,34 +195,14 @@ bool RtCluster::submitAndWait(MethodId Method, uint64_t TimeoutMs) {
 
 void RtCluster::submitAsync(MethodId Method, uint64_t ClientSeq,
                             size_t Rotor) {
-  RtNode *Target = nullptr;
-  for (const auto &N : Nodes) {
-    RtNodeStatus S = N->status();
-    if (!S.Crashed && S.Role == core::Role::Leader) {
-      Target = N.get();
-      break;
-    }
-  }
-  if (!Target)
-    Target = Nodes[Rotor % Nodes.size()].get();
-  Target->submit(Method, ClientSeq);
+  leaderOr(Rotor)->submit(Method, ClientSeq);
 }
 
 bool RtCluster::reconfigAndWait(const Config &NewConf, uint64_t TimeoutMs) {
   auto Deadline = deadlineIn(TimeoutMs);
   size_t Rotor = 0;
   for (;;) {
-    RtNode *Target = nullptr;
-    for (const auto &N : Nodes) {
-      RtNodeStatus S = N->status();
-      if (!S.Crashed && S.Role == core::Role::Leader) {
-        Target = N.get();
-        break;
-      }
-    }
-    if (!Target)
-      Target = Nodes[Rotor++ % Nodes.size()].get();
-    Target->requestReconfig(NewConf);
+    leaderOr(Rotor++)->requestReconfig(NewConf);
 
     sync::MutexLock Lock(ObsMu);
     auto Retry = deadlineIn(40);
@@ -243,23 +222,11 @@ std::optional<size_t> RtCluster::readAndWait(uint64_t TimeoutMs,
   auto Deadline = deadlineIn(TimeoutMs);
   size_t Rotor = 0;
   for (;;) {
-    // Pick the target: the node claiming leadership, or (follower
-    // reads) some live non-leader; the leader's identity also feeds
-    // the fallback below.
-    RtNode *Leader = nullptr;
-    RtNode *Follower = nullptr;
-    for (const auto &N : Nodes) {
-      RtNodeStatus S = N->status();
-      if (S.Crashed)
-        continue;
-      if (S.Role == core::Role::Leader && !Leader)
-        Leader = N.get();
-      else if (S.Role != core::Role::Leader && !Follower)
-        Follower = N.get();
-    }
-    RtNode *Target = AtFollower && Follower ? Follower : Leader;
+    // Pick the target: some live non-leader for follower reads, else
+    // the node claiming leadership (or round-robin).
+    RtNode *Target = AtFollower ? liveNode(/*Leader=*/false) : nullptr;
     if (!Target)
-      Target = Nodes[Rotor++ % Nodes.size()].get();
+      Target = leaderOr(Rotor++);
 
     uint64_t ReadId;
     size_t LedgerLb;

@@ -210,6 +210,11 @@ private:
       ADORE_EXCLUDES(ObsMu);
   bool confCommittedLocked(const Config &NewConf) const
       ADORE_REQUIRES(ObsMu);
+  /// The first live node whose status claims leadership (\p Leader) or
+  /// does not; null if there is none. Reads no Config.
+  RtNode *liveNode(bool Leader) const;
+  /// The live leader, else node Rotor (mod size): a client's target.
+  RtNode *leaderOr(size_t Rotor) const;
 
   RtClusterOptions Opts;
   std::unique_ptr<ReconfigScheme> Scheme;

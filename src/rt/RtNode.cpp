@@ -9,7 +9,6 @@
 #include "rt/Wire.h"
 #include "store/NodeStore.h"
 
-#include <algorithm>
 #include <vector>
 
 using namespace adore;
@@ -75,6 +74,9 @@ void RtNode::start() {
       return;
     Started = true;
     Stopping = false;
+    // The worker starts the core, so it owns the node from the outset:
+    // no inline caller may step a core that has not started yet.
+    Owned = true;
   }
   Worker = std::thread([this] { run(); });
 }
@@ -88,26 +90,54 @@ void RtNode::stop() {
     Stopping = true;
   }
   Cv.notifyAll();
-  // Joining under LifeMu is safe: the worker never acquires it.
+  // Joining under LifeMu is safe: no step ever acquires it.
   if (Worker.joinable())
     Worker.join();
+  // An inline owner releases after its current dispatch once it sees
+  // Stopping; after that nothing can claim the node again.
   sync::MutexLock Lock(Mu);
+  while (Owned)
+    Cv.wait(Mu);
   Started = false;
 }
 
-void RtNode::enqueue(Item It) {
-  {
-    sync::MutexLock Lock(Mu);
-    Inbox.push_back(std::move(It));
+namespace {
+
+/// How many nodes this thread is running inline right now (nested runs
+/// included). Nonzero means a frame this thread posts comes from a
+/// replica running on a borrowed thread, so its receiver may run inline
+/// too. A worker's own drains do not count: under load (the inline
+/// bound handed work back, or a timer fired) the replicas keep their
+/// own threads and run in parallel instead of funnelling a whole
+/// group's work through one worker.
+thread_local unsigned InlineDepth = 0;
+
+} // namespace
+
+void RtNode::enqueue(Item It, bool MayRunInline) {
+  sync::MutexLock Lock(Mu);
+  Inbox.push_back(std::move(It));
+  if (Owned)
+    return; // The owner re-checks the inbox before it releases.
+  if (MayRunInline && Started && !Stopping) {
+    Owned = true;
+    Lock.unlock();
+    drain(/*Inline=*/true);
+    return;
   }
+  Lock.unlock();
   Cv.notifyAll();
+}
+
+void RtNode::enqueueClient(Item It) {
+  enqueue(std::move(It), /*MayRunInline=*/Store == nullptr);
 }
 
 void RtNode::enqueueFrame(std::string Frame) {
   Item It;
   It.K = Item::Kind::Frame;
   It.Frame = std::move(Frame);
-  enqueue(std::move(It));
+  enqueue(std::move(It), Store == nullptr && InlineDepth != 0);
 }
 
 void RtNode::submit(MethodId Method, uint64_t ClientSeq) {
@@ -115,38 +145,45 @@ void RtNode::submit(MethodId Method, uint64_t ClientSeq) {
   It.K = Item::Kind::Submit;
   It.Method = Method;
   It.ClientSeq = ClientSeq;
-  enqueue(std::move(It));
+  enqueueClient(std::move(It));
 }
 
 void RtNode::requestReconfig(Config NewConf) {
   Item It;
   It.K = Item::Kind::Reconfig;
   It.Conf = std::move(NewConf);
-  enqueue(std::move(It));
+  enqueueClient(std::move(It));
 }
 
 void RtNode::read(uint64_t ReadId) {
   Item It;
   It.K = Item::Kind::Read;
   It.ReadId = ReadId;
-  enqueue(std::move(It));
+  enqueueClient(std::move(It));
 }
 
 void RtNode::crash() {
   Item It;
   It.K = Item::Kind::Crash;
-  enqueue(std::move(It));
+  enqueueClient(std::move(It));
 }
 
 void RtNode::restart() {
   Item It;
   It.K = Item::Kind::Restart;
-  enqueue(std::move(It));
+  enqueueClient(std::move(It));
 }
 
 RtNodeStatus RtNode::status() const {
   sync::MutexLock Lock(StatusMu);
   return Cached;
+}
+
+std::optional<core::Role> RtNode::liveRole() const {
+  sync::MutexLock Lock(StatusMu);
+  if (Cached.Crashed)
+    return std::nullopt;
+  return Cached.Role;
 }
 
 uint64_t RtNode::malformedFrames() const {
@@ -170,33 +207,65 @@ std::optional<RtNode::Clock::time_point> RtNode::nextDeadline() const {
 }
 
 void RtNode::run() {
+  // start() made this thread the owner.
   dispatch(Core.start());
+  drain(/*Inline=*/false);
   sync::MutexLock Lock(Mu);
   for (;;) {
     if (Stopping)
       return;
-    if (Inbox.empty()) {
-      std::optional<Clock::time_point> Wake = nextDeadline();
-      if (Wake) {
-        if (Clock::now() < *Wake) {
-          Cv.waitUntil(Mu, *Wake);
-          continue; // Re-check stop flag and inbox first.
-        }
-        // A deadline is due: fire outside the inbox lock.
-        Lock.unlock();
-        fireDueTimers();
-        Lock.lock();
-        continue;
-      }
-      Cv.wait(Mu);
+    if (!Owned && (!Inbox.empty() || (Wake && *Wake <= Clock::now()))) {
+      Owned = true;
+      Lock.unlock();
+      drain(/*Inline=*/false);
+      Lock.lock();
       continue;
     }
+    // While another thread owns the node, its release wakes us if the
+    // earliest deadline moved before the one we sleep toward.
+    Clock::time_point Until =
+        !Owned && Wake ? *Wake : Clock::time_point::max();
+    WorkerSleepsUntil = Until;
+    if (Until == Clock::time_point::max())
+      Cv.wait(Mu);
+    else
+      Cv.waitUntil(Mu, Until);
+  }
+}
+
+void RtNode::drain(bool Inline) {
+  InlineDepth += Inline;
+  size_t Dispatched = 0;
+  bool IdlePassDone = false;
+  sync::MutexLock Lock(Mu);
+  for (;;) {
+    if (Stopping)
+      break;
+    if (Inbox.empty()) {
+      if (IdlePassDone)
+        break;
+      // Idle: flush a partial append batch now instead of waiting for
+      // it to fill or for a heartbeat, and fire due timers. Either may
+      // bring new input (on the bus, replies land in our inbox), so the
+      // inbox is checked once more before releasing.
+      IdlePassDone = true;
+      Lock.unlock();
+      if (Core.pendingBatch() > 0) {
+        core::Effects Effs;
+        Core.flushAppendBatch(Effs);
+        dispatch(std::move(Effs));
+      }
+      fireDueTimers();
+      Lock.lock();
+      continue;
+    }
+    if (Inline && Dispatched >= MaxInlineDispatches)
+      break; // Hand the rest to the worker (woken below).
     // Drain a batch: consecutive core-step items (frames, submits,
-    // reconfigs) coalesce into ONE effect batch, so a store-backed
-    // host's persist pre-pass fsyncs once for the whole burst (group
-    // commit). Crash/restart are barriers and run alone, preserving
-    // their store side-effect ordering. MaxInboxBatch=1 reproduces the
-    // legacy one-item-one-dispatch schedule exactly.
+    // reconfigs, reads) coalesce into ONE effect batch, so a store-
+    // backed host's persist pre-pass fsyncs once for the whole burst
+    // (group commit). Crash/restart are barriers and run alone,
+    // preserving their store side-effect ordering.
     Item First = std::move(Inbox.front());
     Inbox.pop_front();
     if (!isBatchable(First)) {
@@ -216,11 +285,24 @@ void RtNode::run() {
         step(It, Effs);
       dispatch(std::move(Effs));
     }
-    // Timers may have come due while processing; handle them before
-    // sleeping again.
+    ++Dispatched;
+    IdlePassDone = false;
+    // Timers may have come due while processing.
     fireDueTimers();
     Lock.lock();
   }
+  // Release. An inline owner wakes the worker (or a waiting stop())
+  // only for work left behind — stop, or the inline bound — or for a
+  // deadline earlier than the worker's current wait. The worker itself
+  // re-checks everything before it sleeps.
+  Wake = nextDeadline();
+  Owned = false;
+  bool Notify = Inline && (Stopping || !Inbox.empty() ||
+                           (Wake && *Wake < WorkerSleepsUntil));
+  Lock.unlock();
+  if (Notify)
+    Cv.notifyAll();
+  InlineDepth -= Inline;
 }
 
 bool RtNode::isBatchable(const Item &It) {
@@ -302,10 +384,8 @@ void RtNode::dispatch(core::Effects Effs) {
   // flushes the whole durable delta up front — nothing below,
   // especially no Send, may escape before the state backing it is on
   // disk. One fsync covers the whole batch (group commit).
-  if (Store && std::any_of(Effs.begin(), Effs.end(), [](const core::Effect &E) {
-        return E.K == core::Effect::Kind::Persist;
-      })) {
-    Store->persistFrom(Core);
+  if (size_t From = Store ? core::persistFloor(Effs) : 0) {
+    Store->persistFrom(Core, From);
     Store->sync();
   }
   for (core::Effect &E : Effs) {

@@ -9,8 +9,6 @@
 #include "store/NodeStore.h"
 #include "support/Debug.h"
 
-#include <algorithm>
-
 using namespace adore;
 using namespace adore::sim;
 
@@ -144,10 +142,8 @@ void RaftNode::dispatch(core::Effects Effs) {
   // step strictly required is always safe; acting before the flush is
   // not. Store traffic consumes no virtual time and no cluster RNG
   // draws, so the event schedule is identical with the store on or off.
-  if (Store && std::any_of(Effs.begin(), Effs.end(), [](const core::Effect &E) {
-        return E.K == core::Effect::Kind::Persist;
-      })) {
-    Store->persistFrom(Core);
+  if (size_t From = Store ? core::persistFloor(Effs) : 0) {
+    Store->persistFrom(Core, From);
     Store->sync();
   }
   for (core::Effect &E : Effs) {

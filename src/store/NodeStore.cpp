@@ -241,18 +241,26 @@ bool NodeStore::appendRecord(const std::string &Payload) {
   return true;
 }
 
-bool NodeStore::persistFrom(const core::RaftCore &Core) {
-  return persistState(Core.term(), Core.votedFor(), Core.log());
+bool NodeStore::persistFrom(const core::RaftCore &Core, size_t FirstChanged) {
+  return persistSuffix(Core.term(), Core.votedFor(), Core.log(), FirstChanged);
 }
 
 bool NodeStore::persistState(Time Term, std::optional<NodeId> Vote,
                              const std::vector<core::LogEntry> &Log) {
+  return persistSuffix(Term, Vote, Log, /*From=*/1);
+}
+
+bool NodeStore::persistSuffix(Time Term, std::optional<NodeId> Vote,
+                              const std::vector<core::LogEntry> &Log,
+                              size_t From) {
   assert(Open && "persist on a closed store");
+  assert(From >= 1 && "log slots are 1-based");
   bool Ok = true;
 
-  // Longest common log prefix against the mirror.
-  size_t Common = 0;
+  // Longest common log prefix against the mirror, searched from the
+  // first slot the caller says may differ.
   size_t Limit = std::min(MirrorLog.size(), Log.size());
+  size_t Common = std::min(From - 1, Limit);
   while (Common < Limit && MirrorLog[Common] == Log[Common])
     ++Common;
 

@@ -10,7 +10,7 @@
 /// recovery path that rebuilds the durable fields of a core::RaftCore
 /// from snapshot + replay, truncating (never loading) corrupt tails.
 ///
-/// The write path is diff-based and group-committed: persistState()
+/// The write path is diff-based and group-committed: persistFrom()
 /// compares the core's term/vote/log against an in-memory mirror of
 /// what the WAL already holds and appends only the difference (a
 /// Truncate for a conflict-suffix drop, Appends for new slots, a
@@ -19,7 +19,7 @@
 /// whole batch — including any Commit records that rode along — and is
 /// where segment rotation and snapshot compaction happen.
 ///
-/// Hosts call persistFrom(core)+sync() before acting on any effect of a
+/// Hosts call persistFrom(core, first changed slot)+sync() before acting on any effect of a
 /// batch that carries a Persist effect (persist-before-act), call
 /// noteCommit() on CommitAdvanced (deferred: rides the next sync), and
 /// on restart call open() and install the RecoveredState into the core.
@@ -105,10 +105,15 @@ public:
   RecoveredState open();
 
   /// Diffs the core's durable fields against the WAL mirror and appends
-  /// the delta (unsynced). Returns false on I/O error.
-  bool persistFrom(const core::RaftCore &Core);
+  /// the delta (unsynced). \p FirstChanged is the lowest log slot the
+  /// core changed since the store last persisted it — the minimum Index
+  /// over the Persist effects of the batch — so only the suffix from
+  /// there is compared: O(changed suffix), not O(log). Returns false on
+  /// I/O error.
+  bool persistFrom(const core::RaftCore &Core, size_t FirstChanged);
 
-  /// Lower-level form of persistFrom for arbitrary states (tests).
+  /// Full-diff reference form of persistFrom for arbitrary states: the
+  /// whole log is compared with the mirror (tests).
   bool persistState(Time Term, std::optional<NodeId> Vote,
                     const std::vector<core::LogEntry> &Log);
 
@@ -137,6 +142,10 @@ private:
   std::string segPath(uint64_t Seq) const;
   std::string snapPath(uint64_t Seq) const;
   bool appendRecord(const std::string &Payload);
+  /// The diff both persist forms share; slots below \p From (1-based)
+  /// are taken to equal the mirror's.
+  bool persistSuffix(Time Term, std::optional<NodeId> Vote,
+                     const std::vector<core::LogEntry> &Log, size_t From);
   bool createSegment(uint64_t Seq);
   bool takeSnapshot();
   bool rotateSegment();
