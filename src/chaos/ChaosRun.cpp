@@ -98,7 +98,7 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
 
   CommittedLedger Ledger;
   C.addApplyHook([&Ledger](NodeId Node, size_t Index,
-                           const sim::SimLogEntry &E) {
+                           const core::LogEntry &E) {
     Ledger.observe(Node, Index, E);
   });
 
@@ -133,16 +133,16 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
     HO.CooldownUs = 400000;
     Doc.emplace(*Scheme, HO);
     for (NodeId Id : C.universe())
-      C.node(Id).setSuspicionObserver(
-          [&](NodeId, NodeId Peer, bool SuspectedNow) {
-            if (!SuspectedNow) {
-              Doc->observeRecovered(Peer);
-              return;
-            }
-            Doc->observeSuspected(Peer);
-            if (!FirstSuspectAt)
-              FirstSuspectAt = C.queue().now();
-          });
+      C.node(Id).hooks().OnSuspicion = [&](NodeId, NodeId Peer,
+                                           bool SuspectedNow) {
+        if (!SuspectedNow) {
+          Doc->observeRecovered(Peer);
+          return;
+        }
+        Doc->observeSuspected(Peer);
+        if (!FirstSuspectAt)
+          FirstSuspectAt = C.queue().now();
+      };
     const SimTime HealTickUs = 50000;
     SimTime End = Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs;
     HealTick = [&, HealTickUs, End] {

@@ -29,10 +29,10 @@ namespace chaos {
 
 /// First-apply-wins committed ledger of one consensus group.
 struct CommittedLedger {
-  std::vector<sim::SimLogEntry> Entries;
+  std::vector<core::LogEntry> Entries;
   std::optional<std::string> Violation;
 
-  void observe(NodeId Node, size_t Index, const sim::SimLogEntry &E) {
+  void observe(NodeId Node, size_t Index, const core::LogEntry &E) {
     if (Violation)
       return;
     if (Index == Entries.size() + 1) {
@@ -45,7 +45,7 @@ struct CommittedLedger {
                   std::to_string(Entries.size());
       return;
     }
-    const sim::SimLogEntry &Seen = Entries[Index - 1];
+    const core::LogEntry &Seen = Entries[Index - 1];
     if (Seen.Term != E.Term || Seen.Kind != E.Kind ||
         Seen.Method != E.Method || Seen.Conf != E.Conf ||
         Seen.ClientSeq != E.ClientSeq)

@@ -206,7 +206,7 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
   std::vector<CommittedLedger> Ledgers(Groups + 1);
   for (GroupId G = 0; G <= Groups; ++G)
     Pool.group(G).addApplyHook(
-        [&Ledgers, G](NodeId Node, size_t Index, const sim::SimLogEntry &E) {
+        [&Ledgers, G](NodeId Node, size_t Index, const core::LogEntry &E) {
           Ledgers[G].observe(Node, Index, E);
         });
 
@@ -264,16 +264,16 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
       heal::Healer *Doc = Healers[G].get();
       sim::Cluster &C = Pool.group(G);
       for (NodeId Id : C.universe())
-        C.node(Id).setSuspicionObserver(
-            [&, Doc](NodeId, NodeId Peer, bool SuspectedNow) {
-              if (!SuspectedNow) {
-                Doc->observeRecovered(Peer);
-                return;
-              }
-              Doc->observeSuspected(Peer);
-              if (!FirstSuspectAt)
-                FirstSuspectAt = Pool.queue().now();
-            });
+        C.node(Id).hooks().OnSuspicion = [&, Doc](NodeId, NodeId Peer,
+                                                  bool SuspectedNow) {
+          if (!SuspectedNow) {
+            Doc->observeRecovered(Peer);
+            return;
+          }
+          Doc->observeSuspected(Peer);
+          if (!FirstSuspectAt)
+            FirstSuspectAt = Pool.queue().now();
+        };
     }
     const SimTime HealTickUs = 50000;
     SimTime End = Start + Opts.Nemesis.HorizonUs + Opts.QuiescenceUs;

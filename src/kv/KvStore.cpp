@@ -10,7 +10,6 @@
 
 using namespace adore;
 using namespace adore::kv;
-using sim::SimLogEntry;
 using sim::SimTime;
 
 //===----------------------------------------------------------------------===//
@@ -68,13 +67,13 @@ KvClientObserver::~KvClientObserver() = default;
 ReplicatedKvStore::ReplicatedKvStore(sim::Cluster &Cluster)
     : Cluster(Cluster) {
   Cluster.addApplyHook(
-      [this](NodeId Node, size_t Index, const SimLogEntry &E) {
+      [this](NodeId Node, size_t Index, const core::LogEntry &E) {
         onApply(Node, Index, E);
       });
 }
 
 void ReplicatedKvStore::onApply(NodeId Node, size_t Index,
-                                const SimLogEntry &E) {
+                                const core::LogEntry &E) {
   KvState &State = Replicas[Node];
   if (E.Kind == raft::EntryKind::Method) {
     // Exactly-once: a command retried across failovers may occupy two

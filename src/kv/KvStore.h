@@ -156,7 +156,7 @@ public:
   bool replicasAgree() const;
 
 private:
-  void onApply(NodeId Node, size_t Index, const sim::SimLogEntry &E);
+  void onApply(NodeId Node, size_t Index, const core::LogEntry &E);
 
   sim::Cluster &Cluster;
   std::map<NodeId, KvState> Replicas;

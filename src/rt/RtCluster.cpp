@@ -44,7 +44,7 @@ RtCluster::RtCluster(RtClusterOptions Opts)
   InitialConf = Config(Members);
 
   Rng SeedRng(Opts.Seed);
-  RtNodeHooks Hooks;
+  host::Hooks Hooks;
   Hooks.OnApply = [this](NodeId N, size_t I, const core::LogEntry &E) {
     // The extra tap runs first and lock-free: cluster bookkeeping takes
     // ObsMu, and a sharded pool's map state machine must be free to
@@ -54,11 +54,8 @@ RtCluster::RtCluster(RtClusterOptions Opts)
     onApply(N, I, E);
   };
   Hooks.OnLeader = [this](NodeId N, Time T) { onLeader(N, T); };
-  Hooks.OnSuspicion = [this](NodeId N, NodeId Peer, bool SuspectedNow) {
-    if (this->Opts.OnSuspicion)
-      this->Opts.OnSuspicion(N, Peer, SuspectedNow);
-  };
-  Hooks.OnReadDone = [this](NodeId N, uint64_t Id, bool Ok, size_t Index) {
+  Hooks.OnSuspicion = Opts.OnSuspicion;
+  Hooks.OnRead = [this](NodeId N, uint64_t Id, bool Ok, size_t Index) {
     onReadDone(N, Id, Ok, Index);
   };
   if (Opts.DurableStore) {
@@ -350,15 +347,9 @@ void RtCluster::onReadDone(NodeId, uint64_t ReadId, bool Ok, size_t Index) {
 
 std::vector<std::string> RtCluster::checkFinalAgreement() {
   sync::MutexLock Lock(ObsMu);
-  for (const auto &N : Nodes) {
-    if (uint64_t M = N->storeMismatches()) {
-      std::ostringstream OS;
-      OS << "node " << N->id() << " observed " << M
-         << " store recovery mismatch(es): disk state diverged from the "
-         << "in-memory copy";
-      Violations.push_back(OS.str());
-    }
-  }
+  for (const auto &N : Nodes)
+    for (const std::string &M : N->storeMismatches())
+      Violations.push_back(M);
   for (const auto &N : Nodes) {
     const core::RaftCore &C = N->coreForInspection();
     for (size_t I = 1; I <= C.commitIndex(); ++I) {

@@ -7,7 +7,6 @@
 #include "rt/RtNode.h"
 
 #include "rt/Wire.h"
-#include "store/NodeStore.h"
 
 #include <vector>
 
@@ -16,41 +15,13 @@ using namespace adore::rt;
 
 RtNode::RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
                core::CoreOptions Opts, uint64_t Seed, Transport &Net,
-               RtNodeHooks Hooks, store::NodeStore *Store, RtHostOptions Host)
-    : Id(Id), Net(&Net), Hooks(std::move(Hooks)), Host(Host),
-      Core(Id, Scheme, std::move(InitialConf), Opts, Seed),
-      Epoch(Clock::now()), Store(Store) {
-  // Adopt whatever the store's directory already holds, before the
-  // worker thread exists (the core is fresh, so installing is legal).
-  if (Store)
-    recoverFromStore(/*CheckAgainstCore=*/false);
+               host::Hooks Hooks, store::NodeStore *Store, RtHostOptions Host)
+    : Id(Id), Net(&Net), Host(Host), Epoch(Clock::now()),
+      R(Id, Scheme, std::move(InitialConf), std::move(Opts), Seed, Env{this},
+        std::move(Hooks), Store) {
   Net.attach(Id, [this](std::string Frame) {
     enqueueFrame(std::move(Frame));
   });
-}
-
-void RtNode::recoverFromStore(bool CheckAgainstCore) {
-  store::RecoveredState RS = Store->open();
-  if (RS.Error) {
-    // Unrecoverable directory: keep the in-memory state so the node can
-    // proceed, but surface the mismatch — under the supported fault
-    // model this must never happen.
-    StoreMismatches.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (CheckAgainstCore) {
-    // Persist-carrying batches fsync before any effect escapes, so only
-    // deferred Commit records may be lost at a crash: recovered
-    // term/vote/log must equal the in-memory copy exactly, and the
-    // commit index may only lag.
-    bool Mismatch = RS.Term != Core.term() || RS.Vote != Core.votedFor() ||
-                    RS.Log != Core.log() ||
-                    RS.CommitIndex > Core.commitIndex();
-    if (Mismatch)
-      StoreMismatches.fetch_add(1, std::memory_order_relaxed);
-  }
-  Core.installDurableState(RS.Term, RS.Vote, std::move(RS.Log),
-                           RS.CommitIndex);
 }
 
 RtNode::~RtNode() {
@@ -130,14 +101,14 @@ void RtNode::enqueue(Item It, bool MayRunInline) {
 }
 
 void RtNode::enqueueClient(Item It) {
-  enqueue(std::move(It), /*MayRunInline=*/Store == nullptr);
+  enqueue(std::move(It), /*MayRunInline=*/!R.hasStore());
 }
 
 void RtNode::enqueueFrame(std::string Frame) {
   Item It;
   It.K = Item::Kind::Frame;
   It.Frame = std::move(Frame);
-  enqueue(std::move(It), Store == nullptr && InlineDepth != 0);
+  enqueue(std::move(It), !R.hasStore() && InlineDepth != 0);
 }
 
 void RtNode::submit(MethodId Method, uint64_t ClientSeq) {
@@ -190,11 +161,22 @@ uint64_t RtNode::malformedFrames() const {
   return Malformed.load(std::memory_order_relaxed);
 }
 
-uint64_t RtNode::nowUs() const {
+uint64_t RtNode::Env::nowUs() const {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            Epoch)
+                                                            Node->Epoch)
           .count());
+}
+
+void RtNode::Env::send(core::Msg &&M) {
+  Node->Net->post(M.To, encodeMsg(M));
+}
+
+void RtNode::Env::armTimer(core::TimerId T, uint64_t Gen, uint64_t DelayUs) {
+  Deadline &D = Node->deadline(T);
+  D.Armed = true;
+  D.Gen = Gen;
+  D.At = Clock::now() + std::chrono::microseconds(DelayUs);
 }
 
 std::optional<RtNode::Clock::time_point> RtNode::nextDeadline() const {
@@ -208,7 +190,8 @@ std::optional<RtNode::Clock::time_point> RtNode::nextDeadline() const {
 
 void RtNode::run() {
   // start() made this thread the owner.
-  dispatch(Core.start());
+  R.start();
+  publishStatus();
   drain(/*Inline=*/false);
   sync::MutexLock Lock(Mu);
   for (;;) {
@@ -250,9 +233,9 @@ void RtNode::drain(bool Inline) {
       // inbox is checked once more before releasing.
       IdlePassDone = true;
       Lock.unlock();
-      if (Core.pendingBatch() > 0) {
+      if (R.core().pendingBatch() > 0) {
         core::Effects Effs;
-        Core.flushAppendBatch(Effs);
+        R.core().flushAppendBatch(Effs);
         dispatch(std::move(Effs));
       }
       fireDueTimers();
@@ -311,6 +294,7 @@ bool RtNode::isBatchable(const Item &It) {
 }
 
 void RtNode::step(Item &It, core::Effects &Out) {
+  core::RaftCore &Core = R.core();
   switch (It.K) {
   case Item::Kind::Frame: {
     core::Msg M;
@@ -318,7 +302,7 @@ void RtNode::step(Item &It, core::Effects &Out) {
       Malformed.fetch_add(1, std::memory_order_relaxed);
       return; // Malformed frame: dropped like a corrupt packet.
     }
-    core::Effects Step = Core.onMessage(M, nowUs());
+    core::Effects Step = Core.onMessage(M, R.env().nowUs());
     for (core::Effect &E : Step)
       Out.push_back(std::move(E));
     return;
@@ -332,7 +316,7 @@ void RtNode::step(Item &It, core::Effects &Out) {
   case Item::Kind::Read:
     // Lease expiry is checked lazily against the wall clock here; the
     // heartbeat timer drives renewals and probe retransmission.
-    Core.readQuery(It.ReadId, nowUs(), Out);
+    Core.readQuery(It.ReadId, R.env().nowUs(), Out);
     return;
   case Item::Kind::Crash:
   case Item::Kind::Restart:
@@ -344,17 +328,11 @@ void RtNode::step(Item &It, core::Effects &Out) {
 void RtNode::processBarrier(Item &It) {
   switch (It.K) {
   case Item::Kind::Crash:
-    dispatch(Core.crash());
-    if (Store)
-      Store->crash(); // Power cut: the fault model mangles the directory.
-    return;
+    R.crash();
+    break;
   case Item::Kind::Restart:
-    // Restarting a node that never crashed is a no-op; only a crashed
-    // core may have durable state re-installed.
-    if (Store && Core.isCrashed())
-      recoverFromStore(/*CheckAgainstCore=*/true);
-    dispatch(Core.restart());
-    return;
+    R.restart();
+    break;
   case Item::Kind::Frame:
   case Item::Kind::Submit:
   case Item::Kind::Reconfig:
@@ -362,93 +340,30 @@ void RtNode::processBarrier(Item &It) {
     // Batchable items never reach here; run() routes them to step().
     return;
   }
+  publishStatus();
 }
 
 void RtNode::fireDueTimers() {
   // At most one firing per timer per pass; re-arms take a fresh
   // deadline, so the loop in run() converges.
   Clock::time_point Now = Clock::now();
-  if (Election.Armed && Election.At <= Now) {
-    Election.Armed = false;
-    dispatch(Core.onTimer(core::TimerId::Election, Election.Gen, nowUs()));
-  }
-  if (Heartbeat.Armed && Heartbeat.At <= Now) {
-    Heartbeat.Armed = false;
-    dispatch(Core.onTimer(core::TimerId::Heartbeat, Heartbeat.Gen, nowUs()));
+  for (core::TimerId T : {core::TimerId::Election, core::TimerId::Heartbeat}) {
+    Deadline &D = deadline(T);
+    if (D.Armed && D.At <= Now) {
+      D.Armed = false;
+      R.fire(T, D.Gen);
+      publishStatus();
+    }
   }
 }
 
 void RtNode::dispatch(core::Effects Effs) {
-  // Persist-before-act: the core emits Persist at the END of a step's
-  // batch (after the Sends it must gate), so a store-backed host
-  // flushes the whole durable delta up front — nothing below,
-  // especially no Send, may escape before the state backing it is on
-  // disk. One fsync covers the whole batch (group commit).
-  if (size_t From = Store ? core::persistFloor(Effs) : 0) {
-    Store->persistFrom(Core, From);
-    Store->sync();
-  }
-  for (core::Effect &E : Effs) {
-    // The switch enumerates every Effect::Kind with no default: adding
-    // a kind without deciding what this host does with it is a compile
-    // error under -Werror=switch, not a silently dropped effect.
-    switch (E.K) {
-    case core::Effect::Kind::Send:
-      Net->post(E.M.To, encodeMsg(E.M));
-      break;
-    case core::Effect::Kind::SetTimer: {
-      Deadline &D =
-          E.Timer == core::TimerId::Election ? Election : Heartbeat;
-      D.Armed = true;
-      D.Gen = E.TimerGen;
-      D.At = Clock::now() + std::chrono::microseconds(E.DelayUs);
-      break;
-    }
-    case core::Effect::Kind::CancelTimer:
-      (E.Timer == core::TimerId::Election ? Election : Heartbeat).Armed =
-          false;
-      break;
-    case core::Effect::Kind::Apply:
-      if (Hooks.OnApply)
-        Hooks.OnApply(Id, E.Index, E.Entry);
-      break;
-    case core::Effect::Kind::CommitAdvanced:
-      // Deferred durability: the commit record rides the next sync
-      // barrier; losing it at a crash is safe (recovery re-derives
-      // commits from the quorum).
-      if (Store)
-        Store->noteCommit(E.Index);
-      break;
-    case core::Effect::Kind::Persist:
-      // Handled by the pre-pass above. Without a store, crash is
-      // state-level and the core preserves durable fields by fiat.
-      break;
-    case core::Effect::Kind::LeaderElected:
-      if (Hooks.OnLeader)
-        Hooks.OnLeader(Id, E.Term);
-      break;
-    case core::Effect::Kind::ReplicaSuspected:
-      if (Hooks.OnSuspicion)
-        Hooks.OnSuspicion(Id, E.Peer, /*Suspected=*/true);
-      break;
-    case core::Effect::Kind::ReplicaRecovered:
-      if (Hooks.OnSuspicion)
-        Hooks.OnSuspicion(Id, E.Peer, /*Suspected=*/false);
-      break;
-    case core::Effect::Kind::ReadReady:
-      if (Hooks.OnReadDone)
-        Hooks.OnReadDone(Id, E.ReadId, /*Ok=*/true, E.Index);
-      break;
-    case core::Effect::Kind::ReadFailed:
-      if (Hooks.OnReadDone)
-        Hooks.OnReadDone(Id, E.ReadId, /*Ok=*/false, 0);
-      break;
-    }
-  }
+  R.dispatch(std::move(Effs));
   publishStatus();
 }
 
 void RtNode::publishStatus() {
+  const core::RaftCore &Core = R.core();
   const Config &Conf = Core.config();
   sync::MutexLock Lock(StatusMu);
   Cached.Role = Core.role();

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The real-time host for core::RaftCore. Exactly one thread at a time
-/// runs a node's core — its owner — so the core itself needs no locks,
-/// but ownership is not pinned to a thread: it passes to whichever
-/// thread brings work. All input — wire frames, client commands, admin
-/// reconfigs, crash/restart control — lands in a mutex-protected inbox
-/// that the owner drains in arrival order; Send effects are serialized
-/// through rt/Wire.h and posted to the transport.
+/// The real-time host for core::RaftCore. Effects run through the
+/// shared host::Replica interpreter; this file supplies the threads.
+/// Exactly one thread at a time runs a node's core — its owner — so the
+/// core needs no locks, but ownership passes to whichever thread brings
+/// work. All input — wire frames, client commands, admin reconfigs,
+/// crash/restart control — lands in a mutex-protected inbox that the
+/// owner drains in arrival order; Send effects are serialized through
+/// rt/Wire.h and posted to the transport.
 ///
 /// An enqueue that finds the node started and unowned may claim it and
 /// drain the inbox on the calling thread, running the step to
@@ -36,17 +37,13 @@
 /// (core::RaftCore::flushAppendBatch), so a lone request never waits for
 /// the batch to fill or for a heartbeat.
 ///
-/// Crash here is *state-level* fail-stop, matching the simulator: the
-/// node stays attached but the core discards volatile state and ignores
-/// input until restart, which mirrors a process that lost memory but
-/// kept its disk.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ADORE_RT_RTNODE_H
 #define ADORE_RT_RTNODE_H
 
 #include "core/RaftCore.h"
+#include "host/Replica.h"
 #include "rt/Transport.h"
 #include "support/Sync.h"
 
@@ -58,35 +55,7 @@
 #include <thread>
 
 namespace adore {
-
-namespace store {
-class NodeStore;
-} // namespace store
-
 namespace rt {
-
-/// Host callbacks. Each runs on whichever thread is running the step
-/// that produced it — the node's worker, or a client or peer thread
-/// running the node inline — and must be thread-safe against every
-/// other node's steps. A hook may call into a node (an inline call
-/// there may run that node's steps, and so hooks, on this thread), but
-/// never while holding a lock that hooks take; audited holders:
-/// RtCluster::ObsMu, ShardedRtCluster::MapMu and the chaos drivers'
-/// HealMu are all released before any node call. A hook must never
-/// call start() or stop().
-struct RtNodeHooks {
-  std::function<void(NodeId, size_t, const core::LogEntry &)> OnApply;
-  std::function<void(NodeId, Time)> OnLeader;
-  /// Leader-observed liveness transition: (observer, peer, suspected).
-  /// Fires only with core::CoreOptions::EnableSuspicion; the rt heal
-  /// driver subscribes.
-  std::function<void(NodeId, NodeId, bool)> OnSuspicion;
-  /// Read outcome: (node, ReadId, ok, safe index). On ok the node's
-  /// applied state machine has reached the safe index, so serving the
-  /// read from this replica is linearizable. Fires only when a read
-  /// tier (core::CoreOptions::EnableReadIndex/...) is on.
-  std::function<void(NodeId, uint64_t, bool, size_t)> OnReadDone;
-};
 
 /// Host-side tuning, orthogonal to core::CoreOptions.
 struct RtHostOptions {
@@ -121,15 +90,21 @@ public:
   /// thread.
   static constexpr size_t MaxInlineDispatches = 64;
 
-  /// \p Store, when non-null, makes persistence real: the node adopts
-  /// whatever the store's directory holds at construction, flushes the
-  /// WAL before acting on any Persist-carrying effect batch, powers the
-  /// disk down on crash, and recovers from it on restart (cross-checking
-  /// the result against the in-memory copy). Store-backed nodes run
-  /// only on their worker thread.
+  /// \p Store, when non-null, makes persistence real (see
+  /// host::Replica); store-backed nodes run only on their worker thread.
+  ///
+  /// Each hook runs on whichever thread is running the step that
+  /// produced it — the node's worker, or a client or peer thread running
+  /// the node inline — and must be thread-safe against every other
+  /// node's steps. A hook may call into a node (an inline call there may
+  /// run that node's steps, and so hooks, on this thread), but never
+  /// while holding a lock that hooks take; audited holders:
+  /// RtCluster::ObsMu, ShardedRtCluster::MapMu and the chaos drivers'
+  /// HealMu are all released before any node call. A hook must never
+  /// call start() or stop().
   RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
          core::CoreOptions Opts, uint64_t Seed, Transport &Net,
-         RtNodeHooks Hooks, store::NodeStore *Store = nullptr,
+         host::Hooks Hooks, store::NodeStore *Store = nullptr,
          RtHostOptions Host = {});
   ~RtNode();
 
@@ -158,7 +133,7 @@ public:
   void requestReconfig(Config NewConf) ADORE_EXCLUDES(Mu);
 
   /// Enqueues a linearizable read (any thread); the outcome arrives via
-  /// RtNodeHooks::OnReadDone with the same host-chosen \p ReadId.
+  /// host::Hooks::OnRead with the same host-chosen \p ReadId.
   void read(uint64_t ReadId) ADORE_EXCLUDES(Mu);
 
   /// State-level fail-stop / recovery (any thread).
@@ -175,17 +150,17 @@ public:
   /// Count of bus frames that failed wire decoding (any thread).
   uint64_t malformedFrames() const;
 
-  /// Store-backed mode: restarts whose recovered state diverged from
-  /// the in-memory copy, or whose directory was unrecoverable (any
-  /// thread). Always 0 in in-memory mode.
-  uint64_t storeMismatches() const {
-    return StoreMismatches.load(std::memory_order_relaxed);
+  /// Store-backed mode: every restart whose recovered state diverged
+  /// from the in-memory copy, or whose directory was unrecoverable, one
+  /// line each (see host::Replica). Safe ONLY while the node is stopped.
+  const std::vector<std::string> &storeMismatches() const {
+    return R.storeMismatches();
   }
 
   /// Direct read access to the hosted core. Safe ONLY while the node is
   /// stopped (before start() or after stop()); used by end-of-run
   /// whole-cluster checks.
-  const core::RaftCore &coreForInspection() const { return Core; }
+  const core::RaftCore &coreForInspection() const { return R.core(); }
 
 private:
   struct Item {
@@ -220,20 +195,17 @@ private:
   /// flushes, fires due timers and releases), the node stops, or — for
   /// an \p Inline owner — the dispatch bound hands the rest back.
   void drain(bool Inline) ADORE_EXCLUDES(Mu);
-  uint64_t nowUs() const;
   /// True for items that may coalesce into one effect batch; false for
   /// crash/restart barriers.
   static bool isBatchable(const Item &It);
   /// Steps one batchable item through the core, appending its effects.
   void step(Item &It, core::Effects &Out);
-  /// Runs one crash/restart barrier item (its own dispatch inside).
+  /// Runs one crash/restart barrier item.
   void processBarrier(Item &It);
   void fireDueTimers();
+  /// Runs \p Effs through the replica, then publishes the status.
   void dispatch(core::Effects Effs);
   void publishStatus();
-  /// Store recovery + install into the (crashed or fresh) core; see the
-  /// ctor comment. Owner (or pre-start construction) only.
-  void recoverFromStore(bool CheckAgainstCore);
 
   /// One armed core timer mapped onto the steady clock. Owner only.
   struct Deadline {
@@ -242,15 +214,27 @@ private:
     Clock::time_point At;
   };
 
+  /// The real-time environment for host::Replica. Owner only.
+  struct Env {
+    RtNode *Node;
+    /// Microseconds since the node was constructed.
+    uint64_t nowUs() const;
+    void send(core::Msg &&M);
+    void armTimer(core::TimerId T, uint64_t Gen, uint64_t DelayUs);
+    void cancelTimer(core::TimerId T) { Node->deadline(T).Armed = false; }
+  };
+
+  Deadline &deadline(core::TimerId T) {
+    return T == core::TimerId::Election ? Election : Heartbeat;
+  }
   /// The earliest armed deadline, if any. Owner only.
   std::optional<Clock::time_point> nextDeadline() const;
 
   NodeId Id;
   Transport *Net;
-  RtNodeHooks Hooks;
   RtHostOptions Host;
-  core::RaftCore Core; ///< Owner only once start()ed.
   Clock::time_point Epoch;
+  host::Replica<Env> R; ///< Owner only once start()ed.
 
   Deadline Election;  ///< Owner only.
   Deadline Heartbeat; ///< Owner only.
@@ -280,8 +264,6 @@ private:
   RtNodeStatus Cached ADORE_GUARDED_BY(StatusMu);
 
   std::atomic<uint64_t> Malformed{0};
-  std::atomic<uint64_t> StoreMismatches{0};
-  store::NodeStore *Store = nullptr; ///< Owner only once started.
 
   std::thread Worker ADORE_GUARDED_BY(LifeMu);
 };

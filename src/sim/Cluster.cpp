@@ -36,28 +36,35 @@ Cluster::Cluster(const ReconfigScheme &Scheme, Config InitialConf,
       Stores.emplace(Id, std::move(St));
     }
   }
+  host::Hooks Hooks;
+  Hooks.OnApply = [this](NodeId N, size_t I, const core::LogEntry &E) {
+    onApply(N, I, E);
+  };
+  Hooks.OnLeader = [this](NodeId Leader, Time Term) {
+    noteLeader(Leader, Term);
+  };
+  Hooks.OnRead = [this](NodeId Server, uint64_t ReadId, bool Ok,
+                        size_t Index) {
+    onReadDone(Server, ReadId, Ok, Index);
+  };
   for (NodeId Id : this->Universe) {
     Rng NodeRng = R.fork();
     store::NodeStore *St =
         Opts.DurableStore ? Stores.at(Id).get() : nullptr;
-    Nodes.emplace(
-        Id, std::make_unique<RaftNode>(
-                Id, Scheme, InitialConf, Opts.Node, *Q, NodeRng.next(),
-                [this](SimMsg M) { sendMsg(std::move(M)); },
-                [this](NodeId N, size_t I, const SimLogEntry &E) {
-                  onApply(N, I, E);
-                },
-                St));
+    Nodes.emplace(Id, std::make_unique<RaftNode>(
+                          Id, Scheme, InitialConf, Opts.Node, *Q,
+                          NodeRng.next(),
+                          [this](core::Msg M) { sendMsg(std::move(M)); },
+                          Hooks, St));
   }
-  for (auto &[Id, Node] : Nodes) {
-    Node->setLeaderObserver(
-        [this](NodeId Leader, Time Term) { noteLeader(Leader, Term); });
-    Node->setStoreViolationSink(&StoreViolationsVec);
-    Node->setReadObserver(
-        [this](NodeId Server, uint64_t ReadId, bool Ok, size_t Index) {
-          onReadDone(Server, ReadId, Ok, Index);
-        });
-  }
+}
+
+std::vector<std::string> Cluster::storeViolations() const {
+  std::vector<std::string> All;
+  for (const auto &[Id, Node] : Nodes)
+    for (const std::string &V : Node->storeMismatches())
+      All.push_back(V);
+  return All;
 }
 
 store::StoreStats Cluster::storeStats() const {
@@ -118,7 +125,7 @@ std::optional<NodeId> Cluster::runUntilLeader(SimTime MaxWaitUs) {
 // Network
 //===----------------------------------------------------------------------===//
 
-void Cluster::sendMsg(SimMsg M) {
+void Cluster::sendMsg(core::Msg M) {
   ++MessagesSent;
   if (Partition &&
       Partition->contains(M.From) != Partition->contains(M.To)) {
@@ -377,7 +384,7 @@ void Cluster::settle(uint64_t Seq, bool Ok) {
     Done(Ok, Latency);
 }
 
-void Cluster::onApply(NodeId Node, size_t Index, const SimLogEntry &E) {
+void Cluster::onApply(NodeId Node, size_t Index, const core::LogEntry &E) {
   for (const auto &Hook : ApplyHooks)
     Hook(Node, Index, E);
   // Resolve the pending op this entry answers (first application wins;
@@ -410,8 +417,8 @@ std::optional<std::string> Cluster::checkCommittedAgreement() const {
       size_t Common = std::min(A->second->commitIndex(),
                                B->second->commitIndex());
       for (size_t I = 1; I <= Common; ++I) {
-        const SimLogEntry &EA = A->second->entry(I);
-        const SimLogEntry &EB = B->second->entry(I);
+        const core::LogEntry &EA = A->second->entry(I);
+        const core::LogEntry &EB = B->second->entry(I);
         if (EA.Term == EB.Term && EA.Method == EB.Method &&
             EA.Kind == EB.Kind && EA.Conf == EB.Conf)
           continue;

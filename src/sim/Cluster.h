@@ -51,7 +51,8 @@ struct LinkOptions {
 
 /// Cluster-level knobs.
 struct ClusterOptions {
-  NodeOptions Node;
+  /// Timing in virtual microseconds.
+  core::CoreOptions Node;
   LinkOptions Link;
   /// Client gives up waiting for a response and retries after this long.
   SimTime ClientTimeoutUs = 400000;
@@ -173,7 +174,7 @@ public:
   /// hooks fire in registration order. Used by the replicated KV store
   /// and by the chaos harness's committed-ledger invariant.
   void addApplyHook(
-      std::function<void(NodeId, size_t, const SimLogEntry &)> Hook) {
+      std::function<void(NodeId, size_t, const core::LogEntry &)> Hook) {
     ApplyHooks.push_back(std::move(Hook));
   }
 
@@ -204,10 +205,8 @@ public:
 
   /// Store-backed mode: recovery cross-check failures (recovered state
   /// diverging from the idealized in-memory copy) and unrecoverable
-  /// directories. Always empty in in-memory mode.
-  const std::vector<std::string> &storeViolations() const {
-    return StoreViolationsVec;
-  }
+  /// directories, node by node. Always empty in in-memory mode.
+  std::vector<std::string> storeViolations() const;
 
   /// Store-backed mode: per-node store counters summed cluster-wide.
   store::StoreStats storeStats() const;
@@ -235,8 +234,8 @@ private:
     std::function<void(bool, NodeId, size_t, SimTime)> Done;
   };
 
-  void sendMsg(SimMsg M);
-  void onApply(NodeId Node, size_t Index, const SimLogEntry &E);
+  void sendMsg(core::Msg M);
+  void onApply(NodeId Node, size_t Index, const core::LogEntry &E);
   void noteLeader(NodeId Leader, Time Term);
   void attempt(uint64_t Seq);
   void settle(uint64_t Seq, bool Ok);
@@ -258,7 +257,6 @@ private:
   /// pointers into them (destruction runs bottom-up).
   std::unique_ptr<store::MemVfs> Disk;
   std::map<NodeId, std::unique_ptr<store::NodeStore>> Stores;
-  std::vector<std::string> StoreViolationsVec;
   std::map<NodeId, std::unique_ptr<RaftNode>> Nodes;
   std::map<uint64_t, PendingOp> Pending;
   uint64_t NextSeq = 1;
@@ -278,7 +276,7 @@ private:
   std::set<std::pair<NodeId, NodeId>> CutLinks;
   std::map<Time, NodeId> LeadersByTerm;
   std::optional<std::string> LeaderOverlap;
-  std::vector<std::function<void(NodeId, size_t, const SimLogEntry &)>>
+  std::vector<std::function<void(NodeId, size_t, const core::LogEntry &)>>
       ApplyHooks;
 };
 

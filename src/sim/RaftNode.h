@@ -5,24 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The discrete-event-simulator host for core::RaftCore: a thin adapter
-/// that feeds the sans-I/O protocol core its inputs (messages, timer
-/// firings, client commands) and maps the returned effect list onto the
-/// sim::EventQueue — Send becomes the cluster's latency/loss network
-/// callback, SetTimer becomes a scheduled callback that re-enters the
-/// core with the carried generation, Apply becomes the OnApply hook.
-/// No protocol logic lives here; role transitions, quorum checks, log
-/// truncation, and reconfiguration guards are all core::RaftCore's.
-///
-/// Effects are executed strictly in emission order, which reproduces the
-/// pre-extraction event schedule exactly: chaos scenario seeds yield
-/// byte-identical histories through this adapter.
-///
-/// This is the analog of the paper's extracted-OCaml Raft (Section 7):
-/// where they extracted Coq to OCaml and ran on EC2, we run the one
-/// executable core over a simulated network with calibrated latencies,
-/// which reproduces the *shape* of Fig. 16 (latency blips at
-/// reconfiguration points within the normal spike range).
+/// The discrete-event-simulator host for core::RaftCore. Effects run
+/// through the shared host::Replica interpreter; this file supplies the
+/// simulator's environment: Send goes to the cluster's latency/loss
+/// network callback, SetTimer schedules an EventQueue callback that
+/// re-enters the core with the carried generation, and the protocol
+/// clock is queue time plus this node's skew. Effects keep their
+/// emission order, so chaos seeds yield byte-identical histories.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +19,7 @@
 #define ADORE_SIM_RAFTNODE_H
 
 #include "core/RaftCore.h"
+#include "host/Replica.h"
 #include "sim/EventQueue.h"
 
 #include <functional>
@@ -38,90 +28,44 @@
 #include <vector>
 
 namespace adore {
-
-namespace store {
-class NodeStore;
-} // namespace store
-
 namespace sim {
 
-/// Replica roles (the core's, re-exported for existing call sites).
-using Role = core::Role;
-using core::roleName;
-
-/// One slot of the executable node's log.
-using SimLogEntry = core::LogEntry;
-
-/// Wire messages of the executable protocol.
-using SimMsg = core::Msg;
-
-/// Timing knobs (virtual microseconds).
-struct NodeOptions {
-  SimTime ElectionTimeoutMinUs = 150000;
-  SimTime ElectionTimeoutMaxUs = 300000;
-  SimTime HeartbeatUs = 50000;
-  size_t MaxEntriesPerAppend = 64;
-  /// Forwarded to core::CoreOptions::DisableVoteStickiness — injectable
-  /// §4.2.3 misbehavior, for regression tests only.
-  bool DisableVoteStickiness = false;
-  /// Self-healing knobs, forwarded to the core (see core::CoreOptions).
-  /// Both default off so pre-healing seeds keep byte-identical schedules.
-  bool EnableSuspicion = false;
-  uint32_t SuspicionSuspectScore = 8;
-  uint32_t SuspicionRecoverScore = 2;
-  bool EnableSnapshotCatchup = false;
-  size_t SnapshotLagEntries = 64;
-  size_t SnapshotChunkBytes = 4096;
-  /// Linearizable-read tiers, forwarded to the core (see
-  /// core::CoreOptions). All default off: legacy seeds draw the same
-  /// schedules byte-for-byte.
-  bool EnableReadIndex = false;
-  bool EnableLease = false;
-  uint64_t LeaseDurationUs = 0;
-  uint64_t MaxDriftPpm = 0;
-  bool EnableFollowerReads = false;
-  bool TestIgnoreLeaseExpiry = false;
-};
-
-/// A single simulated replica: core::RaftCore + effect plumbing.
+/// A single simulated replica: host::Replica over the event queue.
 class RaftNode {
 public:
   /// \p Send transmits a message (the host applies latency/loss).
-  /// \p OnApply fires for every entry this node applies (commits), in
-  /// log order. \p Store, when non-null, makes persistence real: durable
-  /// state flows through the WAL before any effect of a Persist-carrying
-  /// batch executes, crash() powers the store's disk down, and restart()
-  /// recovers from what survived instead of trusting memory.
+  /// \p Store, when non-null, makes persistence real (see
+  /// host::Replica).
   RaftNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
-           NodeOptions Opts, EventQueue &Queue, uint64_t Seed,
-           std::function<void(SimMsg)> Send,
-           std::function<void(NodeId, size_t, const SimLogEntry &)>
-               OnApply,
-           store::NodeStore *Store = nullptr);
+           core::CoreOptions Opts, EventQueue &Queue, uint64_t Seed,
+           std::function<void(core::Msg)> Send, host::Hooks Hooks,
+           store::NodeStore *Store = nullptr)
+      : Queue(&Queue), SendFn(std::move(Send)),
+        R(Id, Scheme, std::move(InitialConf), std::move(Opts), Seed,
+          Env{this}, std::move(Hooks), Store) {}
+
+  RaftNode(const RaftNode &) = delete;
+  RaftNode &operator=(const RaftNode &) = delete;
 
   /// Arms the first election timeout; call once at cluster start.
-  void start() { dispatch(Core.start()); }
+  void start() { R.start(); }
 
   /// Delivers a message to this node.
-  void receive(const SimMsg &M) {
-    dispatch(Core.onMessage(M, nowUs()));
-  }
+  void receive(const core::Msg &M) { R.receive(M); }
 
   /// Fail-stop: the node ignores messages and timers until restarted.
-  /// Store-backed nodes lose whatever the fault model says a power cut
-  /// costs (the un-fsynced suffix, torn or garbage-tailed).
-  void crash();
+  void crash() { R.crash(); }
 
-  /// Restart after a crash. In-memory mode, persistent state (term,
-  /// vote, log) survives by fiat; store-backed nodes recover it from
-  /// disk and cross-check the result against the idealized copy.
-  void restart();
+  /// Restart after a crash (store-backed: recover and cross-check).
+  void restart() { R.restart(); }
 
-  /// Where store-backed recovery mismatches are reported (the cluster
-  /// points this at its violation list).
-  void setStoreViolationSink(std::vector<std::string> *Sink) {
-    StoreViolations = Sink;
+  /// Recovery divergences so far (see host::Replica).
+  const std::vector<std::string> &storeMismatches() const {
+    return R.storeMismatches();
   }
+
+  /// The hooks this node fires; callers may replace any of them.
+  host::Hooks &hooks() { return R.hooks(); }
 
   //===--------------------------------------------------------------===//
   // Leader-side API (cluster/client facing)
@@ -129,28 +73,36 @@ public:
 
   /// Appends a client command; returns false if not leader. Replication
   /// starts immediately.
-  bool submit(MethodId Method, uint64_t ClientSeq);
+  bool submit(MethodId Method, uint64_t ClientSeq) {
+    return R.run([&](core::RaftCore &C, core::Effects &Out) {
+      return C.submit(Method, ClientSeq, Out);
+    });
+  }
 
   /// Appends a reconfiguration if the R1+/R2/R3 guards pass and this
   /// leader stays a member; returns false otherwise.
-  bool requestReconfig(const Config &NewConf);
+  bool requestReconfig(const Config &NewConf) {
+    return R.run([&](core::RaftCore &C, core::Effects &Out) {
+      return C.requestReconfig(NewConf, Out);
+    });
+  }
 
   /// Leadership transfer (Raft 3.10): tells \p Target — which must be a
   /// member and caught up — to elect immediately, and steps this leader
   /// out of the way. Returns false if not leader or the target lags.
-  bool transferLeadership(NodeId Target);
+  bool transferLeadership(NodeId Target) {
+    return R.run([&](core::RaftCore &C, core::Effects &Out) {
+      return C.transferLeadership(Target, Out);
+    });
+  }
 
-  /// Starts a linearizable read (core::RaftCore::readQuery). The read
-  /// observer fires with the outcome — possibly synchronously, before
-  /// this returns. Returns false if the core failed it synchronously.
-  bool read(uint64_t ReadId);
-
-  /// Observer for read outcomes: (node, ReadId, ok, safe index). On
-  /// ok the node's applied state machine has reached the safe index,
-  /// so serving the read from this replica is linearizable.
-  void setReadObserver(
-      std::function<void(NodeId, uint64_t, bool, size_t)> Fn) {
-    OnRead = std::move(Fn);
+  /// Starts a linearizable read (core::RaftCore::readQuery). The OnRead
+  /// hook fires with the outcome — possibly synchronously, before this
+  /// returns. Returns false if the core failed it synchronously.
+  bool read(uint64_t ReadId) {
+    return R.run([&](core::RaftCore &C, core::Effects &Out) {
+      return C.readQuery(ReadId, R.env().nowUs(), Out);
+    });
   }
 
   /// Skews this node's protocol clock: every NowUs the core observes
@@ -161,78 +113,58 @@ public:
   void setClockSkew(int64_t SkewUs) { ClockSkewUs = SkewUs; }
   int64_t clockSkew() const { return ClockSkewUs; }
 
-  /// Observer fired whenever this node wins an election, with the term it
-  /// now leads. The chaos harness uses it to check election safety (at
-  /// most one leader per term) at runtime.
-  void setLeaderObserver(std::function<void(NodeId, Time)> Fn) {
-    OnLeader = std::move(Fn);
-  }
-
-  /// Observer for leader-observed liveness transitions: fired with this
-  /// node's id, the peer, and true (suspected) / false (recovered).
-  /// Requires NodeOptions::EnableSuspicion; the heal driver subscribes.
-  void setSuspicionObserver(std::function<void(NodeId, NodeId, bool)> Fn) {
-    OnSuspicion = std::move(Fn);
-  }
-
   //===--------------------------------------------------------------===//
   // Introspection (forwarded to the core)
   //===--------------------------------------------------------------===//
 
-  NodeId id() const { return Core.id(); }
-  Role role() const { return Core.role(); }
-  bool isLeader() const { return Core.isLeader(); }
-  Time term() const { return Core.term(); }
-  size_t commitIndex() const { return Core.commitIndex(); }
-  size_t logSize() const { return Core.logSize(); }
-  const SimLogEntry &entry(size_t Index1) const {
-    return Core.entry(Index1);
+  NodeId id() const { return core().id(); }
+  core::Role role() const { return core().role(); }
+  bool isLeader() const { return core().isLeader(); }
+  Time term() const { return core().term(); }
+  size_t commitIndex() const { return core().commitIndex(); }
+  size_t logSize() const { return core().logSize(); }
+  const core::LogEntry &entry(size_t Index1) const {
+    return core().entry(Index1);
   }
   /// The configuration currently in force (hot semantics).
-  Config config() const { return Core.config(); }
+  Config config() const { return core().config(); }
   /// The leader this node last heard from (its redirect hint).
-  std::optional<NodeId> leaderHint() const { return Core.leaderHint(); }
+  std::optional<NodeId> leaderHint() const { return core().leaderHint(); }
   /// True once the node has observed its own committed removal and
   /// gone passive.
-  bool isPassive() const { return Core.isPassive(); }
+  bool isPassive() const { return core().isPassive(); }
   /// True while crashed (ignores everything).
-  bool isCrashed() const { return Core.isCrashed(); }
+  bool isCrashed() const { return core().isCrashed(); }
 
-  std::string describe() const { return Core.describe(); }
+  std::string describe() const { return core().describe(); }
 
   /// The hosted protocol core (read-only), for tests that inspect core
   /// state directly.
-  const core::RaftCore &core() const { return Core; }
+  const core::RaftCore &core() const { return R.core(); }
 
 private:
-  /// Executes the core's effects in emission order against the event
-  /// queue and host callbacks. When a batch carries a Persist effect,
-  /// the store is flushed up front (persist-before-act): the core emits
-  /// Persist at the end of the step, but nothing — especially no Send —
-  /// may escape before the durable state backing it is on disk.
-  void dispatch(core::Effects Effs);
-
-  /// The node's (possibly skewed) protocol clock, clamped at zero.
-  uint64_t nowUs() const {
-    int64_t Now = static_cast<int64_t>(Queue->now()) + ClockSkewUs;
-    return Now < 0 ? 0 : static_cast<uint64_t>(Now);
-  }
-
-  /// Runs store recovery and installs the result into the (crashed or
-  /// fresh) core. \p CheckAgainstCore enables the restart-time
-  /// cross-check against the idealized in-memory state.
-  void recoverFromStore(bool CheckAgainstCore);
+  /// The simulator's environment for host::Replica.
+  struct Env {
+    RaftNode *Node;
+    /// The node's (possibly skewed) protocol clock, clamped at zero.
+    uint64_t nowUs() const {
+      int64_t Now =
+          static_cast<int64_t>(Node->Queue->now()) + Node->ClockSkewUs;
+      return Now < 0 ? 0 : static_cast<uint64_t>(Now);
+    }
+    void send(core::Msg &&M) { Node->SendFn(std::move(M)); }
+    void armTimer(core::TimerId T, uint64_t Gen, uint64_t DelayUs) {
+      Node->Queue->scheduleAfter(DelayUs,
+                                 [N = Node, T, Gen] { N->R.fire(T, Gen); });
+    }
+    /// Nothing to do: a stale firing is rejected by generation.
+    void cancelTimer(core::TimerId) {}
+  };
 
   EventQueue *Queue;
-  core::RaftCore Core;
-  std::function<void(SimMsg)> SendFn;
-  std::function<void(NodeId, size_t, const SimLogEntry &)> ApplyFn;
-  std::function<void(NodeId, Time)> OnLeader;
-  std::function<void(NodeId, NodeId, bool)> OnSuspicion;
-  std::function<void(NodeId, uint64_t, bool, size_t)> OnRead;
-  store::NodeStore *Store = nullptr;
-  std::vector<std::string> *StoreViolations = nullptr;
+  std::function<void(core::Msg)> SendFn;
   int64_t ClockSkewUs = 0;
+  host::Replica<Env> R;
 };
 
 } // namespace sim

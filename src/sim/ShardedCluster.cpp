@@ -48,7 +48,7 @@ ShardedCluster::ShardedCluster(const ReconfigScheme &Scheme,
   ClientSeed = Master.next();
 
   meta().addApplyHook(
-      [this](NodeId, size_t Index, const SimLogEntry &E) {
+      [this](NodeId, size_t Index, const core::LogEntry &E) {
         if (E.Kind == raft::EntryKind::Method && E.Method != 0)
           onMetaApply(Index, E.Method);
       });

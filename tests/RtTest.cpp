@@ -731,10 +731,10 @@ TEST(RtNodeTest, NoHookFiresAfterStopReturnsUnderClientTraffic) {
     if (Stopped.load())
       ++Late;
   };
-  RtNodeHooks H;
+  host::Hooks H;
   H.OnApply = [&](NodeId, size_t, const core::LogEntry &) { Note(); };
   H.OnLeader = [&](NodeId, Time) { Note(); };
-  H.OnReadDone = [&](NodeId, uint64_t, bool, size_t) { Note(); };
+  H.OnRead = [&](NodeId, uint64_t, bool, size_t) { Note(); };
   Bus Net;
   std::vector<std::unique_ptr<RtNode>> Nodes;
   for (NodeId Id = 1; Id <= 3; ++Id)

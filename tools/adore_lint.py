@@ -17,11 +17,13 @@ compile database and the include graph.
 
 Rules (ids are stable; fixtures assert each one fires):
 
-  layering          a pure-layer file includes (directly or through repo
-                    headers) a header from an I/O layer (rt/, store/,
-                    sim/, chaos/, kv/, net/); or a net/ file reaches up
-                    into the harness layers (sim/, chaos/, kv/) — the
-                    socket fabric must stay a neutral seam below them.
+  layering          a file includes (directly or through repo headers)
+                    a header from a layer its own layer may not reach
+                    (FORBIDDEN_REACH): a pure layer reaching an I/O layer
+                    (rt/, store/, sim/, chaos/, kv/, net/, host/); net/
+                    reaching up into the harnesses (sim/, chaos/, kv/);
+                    or host/ reaching a runtime or harness (sim/, rt/,
+                    net/, chaos/, kv/).
   purity-include    a pure-layer file pulls in a threading, clock, or
                     POSIX I/O system header (directly or transitively).
   purity-token      a pure-layer file calls a banned impurity: rand,
@@ -78,14 +80,23 @@ import sys
 PURE_LAYERS = {"core", "adore", "mc", "audit", "shard", "heal", "read"}
 
 # Layers a pure layer may never include from.
-IMPURE_LAYERS = {"rt", "store", "sim", "chaos", "kv", "net"}
+IMPURE_LAYERS = {"rt", "store", "sim", "chaos", "kv", "net", "host"}
 
-# The socket layer sits below the runtimes: it may use rt's Transport
-# interface and the shared codec, but must never reach up into the
-# executable harnesses (sim's deterministic world or chaos's drivers).
-# A transport that knew about the test rigs above it could not be the
-# neutral seam the whole rt/chaos/bench stack swaps out.
-NET_FORBIDDEN_REACH = {"sim", "chaos", "kv"}
+# Layer -> layers it may never reach, directly or transitively. Every
+# pure layer is barred from every I/O layer. Two impure layers sit below
+# others and get their own rows:
+# - net, the socket layer, sits below the runtimes: it may use rt's
+#   Transport interface and the shared codec, but must never reach up
+#   into the executable harnesses (sim's deterministic world or chaos's
+#   drivers). A transport that knew about the test rigs above it could
+#   not be the neutral seam the whole rt/chaos/bench stack swaps out.
+# - host, the one effect interpreter both runtimes run their replicas
+#   through, may use core, store, raft, adore and support. A host that
+#   reached sim, rt or net would weld the shared interpreter to one
+#   runtime's environment.
+FORBIDDEN_REACH = {layer: IMPURE_LAYERS for layer in PURE_LAYERS}
+FORBIDDEN_REACH["net"] = {"sim", "chaos", "kv"}
+FORBIDDEN_REACH["host"] = {"sim", "rt", "net", "chaos", "kv"}
 
 # System headers that smuggle threads, clocks, or OS I/O into a pure
 # layer. <cstdio> is deliberately absent: snprintf-style formatting is
@@ -281,53 +292,26 @@ class Finding:
 
 
 def check_layering(src, files, findings):
-    if src.layer == "net":
-        _check_net_reach(src, files, findings)
+    forbidden = FORBIDDEN_REACH.get(src.layer)
+    if not forbidden:
         return
-    if src.layer not in PURE_LAYERS:
-        return
-    for line, inc in src.quoted_includes:
-        top = inc.split("/", 1)[0]
-        if top in IMPURE_LAYERS:
-            findings.append(Finding(
-                "layering", src.rel, line,
-                "pure layer '%s' includes \"%s\" from I/O layer '%s'"
-                % (src.layer, inc, top)))
-    reach, chain = transitive_repo_includes(files, src.rel)
-    for inc in sorted(reach):
-        top = inc.split("/", 1)[0]
-        if top in IMPURE_LAYERS and (src.rel, inc) not in _direct_pairs(src):
-            if inc in [i for _, i in src.quoted_includes]:
-                continue  # already reported as direct
-            findings.append(Finding(
-                "layering", src.rel, 1,
-                "pure layer '%s' transitively includes \"%s\" (%s)"
-                % (src.layer, inc, chain_str(chain, inc, src.rel))))
-
-
-def _check_net_reach(src, files, findings):
-    """net sits below the runtimes: reaching up into sim/chaos/kv would
-    couple the neutral transport seam to the harnesses built on it."""
+    kind = "pure layer" if src.layer in PURE_LAYERS else "layer"
     direct = {i for _, i in src.quoted_includes}
     for line, inc in src.quoted_includes:
         top = inc.split("/", 1)[0]
-        if top in NET_FORBIDDEN_REACH:
+        if top in forbidden:
             findings.append(Finding(
                 "layering", src.rel, line,
-                "net layer includes \"%s\" from harness layer '%s'"
-                % (inc, top)))
+                "%s '%s' includes \"%s\" from layer '%s' it may not reach"
+                % (kind, src.layer, inc, top)))
     reach, chain = transitive_repo_includes(files, src.rel)
     for inc in sorted(reach):
         top = inc.split("/", 1)[0]
-        if top in NET_FORBIDDEN_REACH and inc not in direct:
+        if top in forbidden and inc not in direct:
             findings.append(Finding(
                 "layering", src.rel, 1,
-                "net layer transitively includes \"%s\" (%s)"
-                % (inc, chain_str(chain, inc, src.rel))))
-
-
-def _direct_pairs(src):
-    return {(src.rel, i) for _, i in src.quoted_includes}
+                "%s '%s' transitively includes \"%s\" (%s)"
+                % (kind, src.layer, inc, chain_str(chain, inc, src.rel))))
 
 
 def check_purity_includes(src, files, findings):
@@ -527,6 +511,12 @@ def run_self_test(args):
         ok = False
     for rule, rel in sorted(actual - expected):
         print("self-test: unexpected [%s] in %s" % (rule, rel))
+        ok = False
+    layers_fired = {rel.split("/", 1)[0] for r, rel in actual
+                    if r == "layering"}
+    for layer in sorted(set(FORBIDDEN_REACH) - layers_fired):
+        print("self-test: no fixture exercises [layering] for layer '%s'"
+              % layer)
         ok = False
     rules_fired = {r for r, _ in actual}
     all_rules = {"layering", "purity-include", "purity-token",
