@@ -11,30 +11,13 @@
 #include "chaos/Linearizability.h"
 #include "heal/Healer.h"
 #include "kv/KvStore.h"
+#include "read/ReadPath.h"
 
 #include <algorithm>
 
 using namespace adore;
 using namespace adore::chaos;
 using sim::SimTime;
-
-/// Full strength for the self-healing check: the leader's configuration
-/// has at least \p Target members and every one of them is alive with
-/// the leader's whole commit prefix in its log.
-static bool fullyReplicated(const sim::Cluster &C,
-                            const ReconfigScheme &Scheme, NodeId Leader,
-                            size_t Target) {
-  NodeSet Members = Scheme.mbrs(C.node(Leader).config());
-  if (Members.size() < Target)
-    return false;
-  size_t Commit = C.node(Leader).commitIndex();
-  for (NodeId M : Members) {
-    const sim::RaftNode &Node = C.node(M);
-    if (Node.isCrashed() || Node.logSize() < Commit)
-      return false;
-  }
-  return true;
-}
 
 ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
                                               uint64_t Seed) {
@@ -88,11 +71,11 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   bool ReadPath = Opts.Nemesis.Kind == Scenario::ClockDrift;
   Result.ReadPath = ReadPath;
   if (ReadPath) {
-    CO.Node.EnableReadIndex = true;
-    CO.Node.EnableLease = true;
-    CO.Node.EnableFollowerReads = true;
-    CO.Node.LeaseDurationUs = 100000;
-    CO.Node.MaxDriftPpm = 100000;
+    read::ReadOptions RO;
+    RO.Tier = read::ReadTier::FollowerLease;
+    RO.LeaseDurationUs = 100000;
+    RO.MaxDriftPpm = 100000;
+    read::applyTier(RO, CO.Node);
   }
   sim::Cluster C(*Scheme, Initial, Universe, CO, ClusterSeed);
 
@@ -273,68 +256,15 @@ ChaosRunResult adore::chaos::runChaosScenario(const ChaosRunOptions &Opts,
   // Invariants.
   if (!N.healedAll())
     Result.Violations.push_back("nemesis did not heal all faults");
-  if (Healing && KillsSeen != 0) {
-    // The point of the scenario: only reconfiguration can restore the
-    // replication factor, and it must have by the end of quiescence.
-    if (FullyReplicatedAt == 0)
-      Result.Violations.push_back(
-          "self-healing: cluster never returned to full replication after " +
-          std::to_string(KillsSeen) + " permanent kills");
-    if (std::optional<NodeId> L = C.leader()) {
-      NodeSet FinalMembers = Scheme->mbrs(C.node(*L).config());
-      for (NodeId Dead : N.killedForever())
-        if (FinalMembers.contains(Dead))
-          Result.Violations.push_back(
-              "self-healing: permanently killed S" + std::to_string(Dead) +
-              " is still a member of the final configuration");
-    }
-  }
-  // Store-backed recovery cross-checks: every restart's recovered
-  // term/vote/log must equal the idealized in-memory copy (only deferred
-  // commit records may be lost), and no directory may be unrecoverable.
-  for (const std::string &V : C.storeViolations())
-    Result.Violations.push_back("durable store: " + V);
-  if (Ledger.Violation)
-    Result.Violations.push_back(*Ledger.Violation);
-  if (std::optional<std::string> V = C.checkLeaderUniqueness())
-    Result.Violations.push_back("election safety: " + *V);
-  if (std::optional<std::string> V = C.checkCommittedAgreement())
-    Result.Violations.push_back("committed agreement: " + *V);
-
-  // Durability + convergence: after heal and quiescence, some node leads
-  // and every member of its configuration holds the full committed
-  // prefix (nothing committed was lost to any crash/restart/reconfig)
-  // with identical KV state.
-  std::optional<NodeId> FinalLeader = C.leader();
-  if (!FinalLeader) {
-    Result.Violations.push_back("no leader after heal + quiescence:\n" +
-                                C.dump());
-  } else {
-    NodeSet FinalMembers = Scheme->mbrs(C.node(*FinalLeader).config());
-    std::optional<NodeId> First;
-    for (NodeId M : FinalMembers) {
-      const sim::RaftNode &Node = C.node(M);
-      if (Node.isCrashed()) {
-        Result.Violations.push_back("S" + std::to_string(M) +
-                                    " still crashed after heal");
-        continue;
-      }
-      if (Node.commitIndex() < Ledger.Entries.size()) {
-        Result.Violations.push_back(
-            "durability: S" + std::to_string(M) + " commit index " +
-            std::to_string(Node.commitIndex()) + " < committed ledger " +
-            std::to_string(Ledger.Entries.size()));
-        continue;
-      }
-      if (!First) {
-        First = M;
-      } else if (!(Store.replica(M) == Store.replica(*First))) {
-        Result.Violations.push_back("convergence: KV state of S" +
-                                    std::to_string(M) + " differs from S" +
-                                    std::to_string(*First));
-      }
-    }
-  }
+  // The point of the kill-forever scenario: only reconfiguration can
+  // restore the replication factor, and it must have by the end of
+  // quiescence.
+  if (Healing && KillsSeen != 0 && FullyReplicatedAt == 0)
+    Result.Violations.push_back(
+        "self-healing: cluster never returned to full replication after " +
+        std::to_string(KillsSeen) + " permanent kills");
+  checkGroupAtEnd(C, *Scheme, Ledger, &Store, N.killedForever(), "",
+                  Result.Violations);
   if (!Store.replicasAgree())
     Result.Violations.push_back("replicas with equal applied counts "
                                 "disagree on KV state");

@@ -97,7 +97,7 @@ void Nemesis::record(const std::string &Desc) {
   Trace.push_back(NemesisAction{C->queue().now(), Desc});
 }
 
-std::string Nemesis::traceString() const {
+std::string adore::chaos::formatTrace(const std::vector<NemesisAction> &Trace) {
   std::string Out;
   for (const NemesisAction &A : Trace) {
     Out += std::to_string(A.At);
@@ -172,21 +172,10 @@ void Nemesis::step() {
       return;
 }
 
-Config Nemesis::currentConfig() const {
-  if (std::optional<NodeId> L = C->leader())
-    return C->node(*L).config();
-  for (NodeId N : C->universe()) {
-    const sim::RaftNode &Node = C->node(N);
-    if (!Node.isCrashed() && !Node.isPassive())
-      return Node.config();
-  }
-  return C->node(C->universe()[0]).config();
-}
-
 bool Nemesis::moveCrash() {
   if (Crashed.size() >= Opts.MaxCrashed)
     return false;
-  NodeSet Members = C->scheme().mbrs(currentConfig());
+  NodeSet Members = C->scheme().mbrs(C->currentConfig());
   std::vector<NodeId> Cands;
   for (NodeId N : Members)
     if (!C->node(N).isCrashed())
@@ -313,7 +302,7 @@ bool Nemesis::moveReconfig() {
   if (!C->scheme().allowsReconfig())
     return false;
   std::vector<Config> Cands =
-      C->scheme().candidateReconfigs(currentConfig(), C->universe());
+      C->scheme().candidateReconfigs(C->currentConfig(), C->universe());
   if (Cands.empty())
     return false;
   const Config &Next = R.pick(Cands);
@@ -332,7 +321,7 @@ bool Nemesis::moveReconfig() {
 bool Nemesis::moveKillForever() {
   if (KilledForever.size() >= Opts.MaxForeverKills)
     return false;
-  Config Conf = currentConfig();
+  Config Conf = C->currentConfig();
   NodeSet Members = C->scheme().mbrs(Conf);
   std::vector<NodeId> Cands;
   for (NodeId N : Members) {

@@ -29,14 +29,16 @@ namespace chaos {
 struct RtRunOptions {
   SchemeKind Scheme = SchemeKind::RaftSingleNode;
   size_t Members = 3;
-  /// Spare (initially passive) replicas per group; sharded runs draw
-  /// migration targets from them. Ignored by the single-group path,
-  /// whose scenarios never grow the member set.
+  /// Spare (initially passive) replicas per group: kill-forever heals
+  /// onto them (and kills at most two per group, fewer if there are
+  /// fewer spares), and pool migrations draw targets from them. A
+  /// single group creates them only for kill-forever.
   size_t Spares = 2;
-  /// Number of data consensus groups. 1 runs the original single-group
-  /// rt harness; >1 (or Scenario::ShardReconfig) runs the sharded pool
-  /// on a shared bus: a metadata group replicating the pool map plus
-  /// Groups data groups, client ops routed per key.
+  /// Number of data consensus groups. 1 runs one plain rt::RtCluster;
+  /// >1 (or Scenario::ShardReconfig) runs the sharded pool on one
+  /// transport: a metadata group replicating the pool map plus Groups
+  /// data groups, client ops routed per key. Every scenario script runs
+  /// once per data group either way.
   size_t Groups = 1;
   /// Shards the keyspace is split into for sharded runs (jump hash).
   uint32_t Shards = 16;
@@ -60,16 +62,11 @@ struct RtRunOptions {
 
 /// Runs one scenario on the threaded runtime. The result reuses the
 /// ChaosRunResult shape; fields with no rt equivalent (network drop
-/// counters, nemesis trace, linearization states) stay zero/empty.
-/// Dispatches to the sharded rt harness (chaos/ShardRtRun.cpp) when
-/// Opts.Groups > 1 or the scenario is Scenario::ShardReconfig.
+/// counters, nemesis trace, linearization states) stay zero/empty, and
+/// GroupStats stays empty for a single group. A pool run adds the
+/// per-group final-agreement checks (metadata group included) and the
+/// pool-map generation audit.
 ChaosRunResult runRtScenario(const RtRunOptions &Opts, uint64_t Seed);
-
-/// The sharded rt harness: meta + data groups as rt::ShardedRtCluster
-/// on one wire bus, keyed writes routed through the pool map, per-group
-/// final-agreement checks plus the pool-map invariants. Normally
-/// reached via runRtScenario's dispatch.
-ChaosRunResult runShardedRtScenario(const RtRunOptions &Opts, uint64_t Seed);
 
 } // namespace chaos
 } // namespace adore

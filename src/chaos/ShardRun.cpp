@@ -31,34 +31,6 @@ using sim::SimTime;
 
 namespace {
 
-/// Full strength for one group: the leader's configuration has at least
-/// \p Target members, all alive and holding the leader's commit prefix.
-bool groupFullyReplicated(const sim::Cluster &C,
-                          const ReconfigScheme &Scheme, NodeId Leader,
-                          size_t Target) {
-  NodeSet Members = Scheme.mbrs(C.node(Leader).config());
-  if (Members.size() < Target)
-    return false;
-  size_t Commit = C.node(Leader).commitIndex();
-  for (NodeId M : Members) {
-    const sim::RaftNode &Node = C.node(M);
-    if (Node.isCrashed() || Node.logSize() < Commit)
-      return false;
-  }
-  return true;
-}
-
-Config currentConfigOf(sim::Cluster &C) {
-  if (std::optional<NodeId> L = C.leader())
-    return C.node(*L).config();
-  for (NodeId N : C.universe()) {
-    const sim::RaftNode &Node = C.node(N);
-    if (!Node.isCrashed() && !Node.isPassive())
-      return Node.config();
-  }
-  return C.node(C.universe()[0]).config();
-}
-
 /// The shard-reconfig nemesis: instead of cutting links or crashing
 /// nodes, it migrates groups — pick a data group, pick a legal successor
 /// replica set from the scheme's own candidateReconfigs enumeration,
@@ -77,16 +49,7 @@ public:
     scheduleNext();
   }
 
-  std::string traceString() const {
-    std::string Out;
-    for (const NemesisAction &A : Trace) {
-      Out += std::to_string(A.At);
-      Out += ' ';
-      Out += A.Desc;
-      Out += '\n';
-    }
-    return Out;
-  }
+  std::string traceString() const { return formatTrace(Trace); }
 
   size_t actions() const { return Trace.size(); }
   size_t requested() const { return Requested; }
@@ -112,16 +75,14 @@ private:
     if (InFlight || !Pool.scheme().allowsReconfig())
       return;
     GroupId G = 1 + static_cast<GroupId>(R.nextBelow(Pool.dataGroups()));
-    Config Cur = currentConfigOf(Pool.group(G));
+    Config Cur = Pool.group(G).currentConfig();
     std::vector<Config> Cands =
-        Pool.scheme().candidateReconfigs(Cur, Pool.groupUniverse(G));
+        Pool.scheme().candidateReconfigs(Cur, Pool.group(G).universe());
     if (Cands.empty())
       return;
     Config Next = R.pick(Cands);
-    shard::PoolMap M = Pool.committedMap();
-    M.Generation += 1;
-    M.GroupReplicas[G] = Pool.scheme().mbrs(Next);
-    M.Roster = M.Roster.unionWith(M.GroupReplicas[G]);
+    shard::PoolMap M =
+        heal::withGroupReplicas(Pool.committedMap(), G, Pool.scheme().mbrs(Next));
     InFlight = true;
     ++Requested;
     record("migrate group " + std::to_string(G) + " -> " +
@@ -251,6 +212,14 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
   size_t KillsSeen = 0;
   bool MapProposalInFlight = false;
   std::function<void()> HealTick;
+  auto AllGroupsFull = [&] {
+    for (GroupId G = 1; G <= Groups; ++G) {
+      std::optional<NodeId> L = Pool.group(G).leader();
+      if (!L || !fullyReplicated(Pool.group(G), *Scheme, *L, Opts.Members))
+        return false;
+    }
+    return true;
+  };
   if (Healing) {
     Rng HealMaster(Master.next());
     Healers.resize(Groups + 1);
@@ -286,16 +255,13 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
         KillsSeen = Kills;
         FullyReplicatedAt = 0;
       }
-      bool AllFull = KillsSeen != 0;
+      if (KillsSeen != 0 && FullyReplicatedAt == 0 && AllGroupsFull())
+        FullyReplicatedAt = Now;
       for (GroupId G = 1; G <= Groups; ++G) {
         sim::Cluster &C = Pool.group(G);
         std::optional<NodeId> L = C.leader();
-        if (!L) {
-          AllFull = false;
+        if (!L)
           continue;
-        }
-        if (!groupFullyReplicated(C, *Scheme, *L, Opts.Members))
-          AllFull = false;
         heal::Healer *Doc = Healers[G].get();
         if (std::optional<Config> P =
                 Doc->tick(Now, C.node(*L).config(), C.universe(), *L))
@@ -316,8 +282,6 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
           }
         }
       }
-      if (AllFull && FullyReplicatedAt == 0)
-        FullyReplicatedAt = Now;
       if (Now + HealTickUs < End)
         Pool.queue().scheduleAfter(HealTickUs, HealTick);
     };
@@ -398,17 +362,8 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
   if (Healing) {
     // Sample once more at end-of-run: the last catch-up may have
     // completed after the final 50ms tick.
-    if (FullyReplicatedAt == 0 && KillsSeen != 0) {
-      bool AllFull = true;
-      for (GroupId G = 1; G <= Groups; ++G) {
-        std::optional<NodeId> L = Pool.group(G).leader();
-        if (!L || !groupFullyReplicated(Pool.group(G), *Scheme, *L,
-                                        Opts.Members))
-          AllFull = false;
-      }
-      if (AllFull)
-        FullyReplicatedAt = Pool.queue().now();
-    }
+    if (FullyReplicatedAt == 0 && KillsSeen != 0 && AllGroupsFull())
+      FullyReplicatedAt = Pool.queue().now();
     SimTime FirstKillAt = 0;
     SimTime FinalKillAt = 0;
     for (const auto &N : Nemeses)
@@ -450,12 +405,6 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
       if (!L)
         continue; // Flagged as "no leader" by the per-group walk below.
       NodeSet Final = Scheme->mbrs(Pool.group(G).node(*L).config());
-      for (NodeId Dead : Nemeses[G - 1]->killedForever())
-        if (Final.contains(Dead))
-          Result.Violations.push_back(
-              "self-healing: group " + std::to_string(G) +
-              " still lists permanently killed S" + std::to_string(Dead) +
-              " in its final configuration");
       const shard::PoolMap &M = Pool.committedMap();
       if (G < M.GroupReplicas.size() && !(M.GroupReplicas[G] == Final))
         Result.Violations.push_back(
@@ -464,57 +413,16 @@ adore::chaos::runShardedChaosScenario(const ChaosRunOptions &Opts,
             ") does not match its healed configuration " + Final.str());
     }
   }
+  // For a migrated group the final members are exactly the new replica
+  // set, so the durability walk is the "no committed entry lost across a
+  // map change" obligation.
   for (GroupId G = 0; G <= Groups; ++G) {
-    sim::Cluster &C = Pool.group(G);
-    std::string Tag = "group " + std::to_string(G) + ": ";
-    for (const std::string &V : C.storeViolations())
-      Result.Violations.push_back(Tag + "durable store: " + V);
-    if (Ledgers[G].Violation)
-      Result.Violations.push_back(Tag + *Ledgers[G].Violation);
-    if (std::optional<std::string> V = C.checkLeaderUniqueness())
-      Result.Violations.push_back(Tag + "election safety: " + *V);
-    if (std::optional<std::string> V = C.checkCommittedAgreement())
-      Result.Violations.push_back(Tag + "committed agreement: " + *V);
-
-    // Durability across map changes: after heal and quiescence every
-    // member of the group's final configuration must hold the group's
-    // full committed prefix. For a migrated group the final members are
-    // exactly the new replica set, so this is the "no committed entry
-    // lost across a map change" obligation.
-    std::optional<NodeId> FinalLeader = C.leader();
-    if (!FinalLeader) {
-      Result.Violations.push_back(Tag +
-                                  "no leader after heal + quiescence:\n" +
-                                  C.dump());
-      continue;
-    }
-    NodeSet FinalMembers = Scheme->mbrs(C.node(*FinalLeader).config());
-    std::optional<NodeId> First;
-    for (NodeId M : FinalMembers) {
-      const sim::RaftNode &Node = C.node(M);
-      if (Node.isCrashed()) {
-        Result.Violations.push_back(Tag + "S" + std::to_string(M) +
-                                    " still crashed after heal");
-        continue;
-      }
-      if (Node.commitIndex() < Ledgers[G].Entries.size()) {
-        Result.Violations.push_back(
-            Tag + "durability: S" + std::to_string(M) + " commit index " +
-            std::to_string(Node.commitIndex()) + " < committed ledger " +
-            std::to_string(Ledgers[G].Entries.size()));
-        continue;
-      }
-      if (G == shard::MetaGroupId)
-        continue; // No KV state to compare in the metadata group.
-      if (!First) {
-        First = M;
-      } else if (!(Store.groupStore(G).replica(M) ==
-                   Store.groupStore(G).replica(*First))) {
-        Result.Violations.push_back(Tag + "convergence: KV state of S" +
-                                    std::to_string(M) + " differs from S" +
-                                    std::to_string(*First));
-      }
-    }
+    bool Data = G != shard::MetaGroupId;
+    checkGroupAtEnd(Pool.group(G), *Scheme, Ledgers[G],
+                    Data ? &Store.groupStore(G) : nullptr,
+                    Data && !Nemeses.empty() ? Nemeses[G - 1]->killedForever()
+                                             : NodeSet(),
+                    "group " + std::to_string(G) + ": ", Result.Violations);
   }
   if (!Store.replicasAgree())
     Result.Violations.push_back("replicas with equal applied counts "

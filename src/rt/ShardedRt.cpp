@@ -14,12 +14,12 @@ using namespace adore;
 using namespace adore::rt;
 
 ShardedRtCluster::ShardedRtCluster(ShardedRtOptions O)
-    : Opts(std::move(O)), Net(makeTransport(Opts.Group.Transport)) {
-  Committed = shard::makeUniformPoolMap(
-      static_cast<uint32_t>(Opts.Groups), Opts.NumShards,
-      static_cast<uint32_t>(Opts.Members), static_cast<uint32_t>(Opts.Spares),
-      static_cast<uint32_t>(Opts.MetaMembers));
-
+    : Opts(std::move(O)), Net(makeTransport(Opts.Group.Transport)),
+      Ledger(shard::makeUniformPoolMap(
+          static_cast<uint32_t>(Opts.Groups), Opts.NumShards,
+          static_cast<uint32_t>(Opts.Members),
+          static_cast<uint32_t>(Opts.Spares),
+          static_cast<uint32_t>(Opts.MetaMembers))) {
   // One master seed stream, forked per group in group order (meta
   // first), mirroring the simulator's ShardedCluster.
   Rng Master(Opts.Group.Seed);
@@ -34,7 +34,9 @@ ShardedRtCluster::ShardedRtCluster(ShardedRtOptions O)
       GO.NumNodes = Opts.MetaMembers;
       GO.NumSpares = 0;
       GO.OnApplyExtra = [this](NodeId, size_t I, const core::LogEntry &E) {
-        onMetaApply(I, E);
+        sync::MutexLock Lock(MapMu);
+        Ledger.apply(I, E);
+        MapCv.notifyAll();
       };
     } else {
       GO.NumNodes = Opts.Members;
@@ -78,25 +80,21 @@ bool ShardedRtCluster::waitForAllLeaders(uint64_t TimeoutMs) {
 
 shard::PoolMap ShardedRtCluster::committedMap() const {
   sync::MutexLock Lock(MapMu);
-  return Committed;
+  return Ledger.committed();
 }
 
 uint64_t ShardedRtCluster::mapChangesCommitted() const {
   sync::MutexLock Lock(MapMu);
-  return MapChanges;
-}
-
-std::vector<std::string> ShardedRtCluster::mapViolations() const {
-  sync::MutexLock Lock(MapMu);
-  return MapViolationsVec;
+  return Ledger.changes();
 }
 
 std::optional<shard::WrongGroupNack>
 ShardedRtCluster::ingressCheck(shard::GroupId G, uint32_t Shard,
                                uint64_t ClientGen) const {
   sync::MutexLock Lock(MapMu);
-  if (Committed.groupForShard(Shard) != G || ClientGen < Committed.Generation)
-    return shard::WrongGroupNack{Committed.Generation};
+  const shard::PoolMap &M = Ledger.committed();
+  if (M.groupForShard(Shard) != G || ClientGen < M.Generation)
+    return shard::WrongGroupNack{M.Generation};
   return std::nullopt;
 }
 
@@ -105,10 +103,10 @@ bool ShardedRtCluster::proposeMap(const shard::PoolMap &NewMap,
   MethodId Ticket;
   {
     sync::MutexLock Lock(MapMu);
-    if (!NewMap.valid() || NewMap.Generation != Committed.Generation + 1)
+    if (!NewMap.valid() ||
+        NewMap.Generation != Ledger.committed().Generation + 1)
       return false;
-    Ticket = NextTicket++;
-    Proposals[Ticket] = NewMap;
+    Ticket = Ledger.propose(NewMap);
   }
   if (!meta().submitAndWait(Ticket, TimeoutMs))
     return false;
@@ -119,39 +117,12 @@ bool ShardedRtCluster::proposeMap(const shard::PoolMap &NewMap,
   auto Deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(TimeoutMs);
   sync::MutexLock Lock(MapMu);
-  while (Decided.find(Ticket) == Decided.end()) {
+  while (!Ledger.verdict(Ticket)) {
     auto Retry =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(40);
     if (MapCv.waitUntil(MapMu, Retry) == std::cv_status::timeout &&
         std::chrono::steady_clock::now() >= Deadline)
       break;
   }
-  auto It = Decided.find(Ticket);
-  return It != Decided.end() && It->second;
-}
-
-void ShardedRtCluster::onMetaApply(size_t Index, const core::LogEntry &E) {
-  if (E.Kind != raft::EntryKind::Method || E.Method == 0)
-    return;
-  sync::MutexLock Lock(MapMu);
-  // First apply anywhere decides the ticket: every replica applies in
-  // index order, so the first occurrence of any index is in order too.
-  if (Index <= MetaIndexSeen)
-    return;
-  MetaIndexSeen = Index;
-  auto It = Proposals.find(E.Method);
-  if (It == Proposals.end())
-    return;
-  const shard::PoolMap &M = It->second;
-  bool Install = M.valid() && M.Generation == Committed.Generation + 1;
-  if (Install) {
-    if (M.Generation <= Committed.Generation)
-      MapViolationsVec.push_back(
-          "pool map generation not monotone at meta index " +
-          std::to_string(Index));
-    Committed = M;
-    ++MapChanges;
-  }
-  Decided[E.Method] = Install;
-  MapCv.notifyAll();
+  return Ledger.verdict(Ticket).value_or(false);
 }

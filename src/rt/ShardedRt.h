@@ -12,14 +12,14 @@
 /// simulator's ShardedCluster uses on its shared event queue — so a
 /// frame's destination id is its group tag and no frame format changes.
 ///
-/// The pool map is the meta group's state machine: proposeMap() assigns
-/// a ticket MethodId, records the proposed map, and submits the ticket
-/// through the meta log; the first apply of the ticket anywhere decides
-/// it, installing the map iff its generation is exactly committed+1
-/// (CAS — concurrent proposals lose and report failure). Servers check
-/// ingress against the committed map and NACK stale-routed requests
-/// with the current generation, which is what drives the routing
-/// client's refetch loop.
+/// The pool map is the meta group's state machine, a shard::MapLedger
+/// behind a mutex: proposeMap() registers the map under a ticket
+/// MethodId and submits the ticket through the meta log; the first apply
+/// of the ticket anywhere decides it, installing the map iff its
+/// generation is exactly committed+1 (CAS — concurrent proposals lose
+/// and report failure). Servers check ingress against the committed map
+/// and NACK stale-routed requests with the current generation, which is
+/// what drives the routing client's refetch loop.
 ///
 /// Store-backed mode gives every group its own disk namespace: group G
 /// persists under "gG/n<id>" (and each internally-created MemVfs is
@@ -32,10 +32,9 @@
 #define ADORE_RT_SHARDEDRT_H
 
 #include "rt/RtCluster.h"
-#include "shard/PoolMap.h"
+#include "shard/MapLedger.h"
 #include "shard/ShardedKvClient.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -106,14 +105,7 @@ public:
   /// Committed map changes beyond the initial map (any thread).
   uint64_t mapChangesCommitted() const ADORE_EXCLUDES(MapMu);
 
-  /// Pool-map invariant violations observed while running (generation
-  /// ever non-monotone, invalid map installed). Empty means healthy.
-  std::vector<std::string> mapViolations() const ADORE_EXCLUDES(MapMu);
-
 private:
-  void onMetaApply(size_t Index, const core::LogEntry &E)
-      ADORE_EXCLUDES(MapMu);
-
   ShardedRtOptions Opts;
   /// Declared before the clusters: every node posts to it until stop().
   /// Kind chosen by Opts.Group.Transport (bus or loopback TCP).
@@ -123,14 +115,7 @@ private:
 
   mutable sync::Mutex MapMu;
   mutable sync::CondVar MapCv;
-  shard::PoolMap Committed ADORE_GUARDED_BY(MapMu);
-  std::map<MethodId, shard::PoolMap> Proposals ADORE_GUARDED_BY(MapMu);
-  /// Ticket -> decided outcome (installed or lost the generation CAS).
-  std::map<MethodId, bool> Decided ADORE_GUARDED_BY(MapMu);
-  MethodId NextTicket ADORE_GUARDED_BY(MapMu) = 1;
-  size_t MetaIndexSeen ADORE_GUARDED_BY(MapMu) = 0;
-  uint64_t MapChanges ADORE_GUARDED_BY(MapMu) = 0;
-  std::vector<std::string> MapViolationsVec ADORE_GUARDED_BY(MapMu);
+  shard::MapLedger Ledger ADORE_GUARDED_BY(MapMu);
 };
 
 } // namespace rt

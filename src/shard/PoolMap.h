@@ -116,6 +116,10 @@ PoolMap makeUniformPoolMap(uint32_t Groups, uint32_t NumShards,
 /// (metadata) is based at 0, so its ids are the familiar 1..N.
 inline NodeId groupIdBase(GroupId G) { return static_cast<NodeId>(G) * 1000; }
 
+/// The group whose id range holds \p Id (the inverse of groupIdBase for
+/// ids groupIdBase(G)+1 .. groupIdBase(G)+999).
+inline GroupId groupOfNode(NodeId Id) { return static_cast<GroupId>(Id / 1000); }
+
 /// Binary codec (core/Codec.h framing). encodePoolMap appends to \p Out;
 /// decodePoolMap consumes the whole buffer and returns false on any
 /// bounds violation, trailing bytes, or structurally invalid map.

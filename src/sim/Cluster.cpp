@@ -110,6 +110,15 @@ std::optional<NodeId> Cluster::leader() const {
   return Best;
 }
 
+Config Cluster::currentConfig() const {
+  if (std::optional<NodeId> L = leader())
+    return node(*L).config();
+  for (NodeId N : Universe)
+    if (!node(N).isCrashed() && !node(N).isPassive())
+      return node(N).config();
+  return node(Universe[0]).config();
+}
+
 std::optional<NodeId> Cluster::runUntilLeader(SimTime MaxWaitUs) {
   SimTime Deadline = Q->now() + MaxWaitUs;
   while (Q->now() < Deadline) {

@@ -98,6 +98,10 @@ public:
   /// The current leader with the highest term, if any.
   std::optional<NodeId> leader() const;
 
+  /// The leader's configuration, else that of the first live active
+  /// node, else the first node's (as rt::RtCluster::currentConfig).
+  Config currentConfig() const;
+
   RaftNode &node(NodeId Id);
   const RaftNode &node(NodeId Id) const;
   const NodeSet &universe() const { return Universe; }

@@ -16,15 +16,15 @@ using adore::shard::PoolMap;
 
 ShardedCluster::ShardedCluster(const ReconfigScheme &Scheme,
                                ShardedClusterOptions Opts, uint64_t Seed)
-    : Scheme(&Scheme), Opts(Opts) {
+    : Scheme(&Scheme), Opts(Opts),
+      Ledger(shard::makeUniformPoolMap(Opts.Groups, Opts.NumShards,
+                                       Opts.Members, Opts.Spares,
+                                       Opts.MetaMembers)) {
   assert(Opts.Groups >= 1 && "need at least one data group");
   assert(Opts.NumShards >= 1 && "need at least one shard");
-  Committed = shard::makeUniformPoolMap(Opts.Groups, Opts.NumShards,
-                                        Opts.Members, Opts.Spares,
-                                        Opts.MetaMembers);
   // Every group, server, and client boots already knowing generation 1:
   // the initial map is deployment configuration, not something learned.
-  ServerView.assign(Opts.Groups + 1, Committed);
+  ServerView.assign(Opts.Groups + 1, Ledger.committed());
 
   // One master RNG stream forks a seed per group, so group g's node
   // timers and network rolls are independent of how many other groups
@@ -49,8 +49,8 @@ ShardedCluster::ShardedCluster(const ReconfigScheme &Scheme,
 
   meta().addApplyHook(
       [this](NodeId, size_t Index, const core::LogEntry &E) {
-        if (E.Kind == raft::EntryKind::Method && E.Method != 0)
-          onMetaApply(Index, E.Method);
+        if (Ledger.apply(Index, E))
+          broadcast(Ledger.committed());
       });
 }
 
@@ -62,10 +62,6 @@ Cluster &ShardedCluster::group(GroupId G) {
 const Cluster &ShardedCluster::group(GroupId G) const {
   assert(G < GroupClusters.size() && "unknown group");
   return *GroupClusters[G];
-}
-
-NodeSet ShardedCluster::groupUniverse(GroupId G) const {
-  return group(G).universe();
 }
 
 void ShardedCluster::start() {
@@ -94,52 +90,19 @@ bool ShardedCluster::runUntilAllLeaders(SimTime MaxWaitUs) {
 void ShardedCluster::proposeMap(PoolMap NewMap, std::function<void(bool)> Done,
                                 SimTime MaxTriesUs) {
   assert(NewMap.valid() && "proposing a structurally invalid map");
-  MethodId Ticket = NextTicket++;
-  Proposals.emplace(Ticket, std::move(NewMap));
+  MethodId Ticket = Ledger.propose(std::move(NewMap));
   meta().submit(
       Ticket,
       [this, Ticket, Done = std::move(Done)](bool Ok, SimTime) {
         // The apply hook ran before this response was scheduled, so the
         // install verdict for the ticket is already final on success.
         if (Done)
-          Done(Ok && Installed[Ticket]);
+          Done(Ok && Ledger.verdict(Ticket).value_or(false));
       },
       MaxTriesUs);
 }
 
-void ShardedCluster::onMetaApply(size_t Index, MethodId Method) {
-  // First application wins: every meta replica applies the same ledger,
-  // so later applications of an index (other replicas, restarts) carry
-  // no new information.
-  if (Index <= MetaIndexSeen)
-    return;
-  MetaIndexSeen = Index;
-  auto It = Proposals.find(Method);
-  if (It == Proposals.end())
-    return; // Not a map ticket (e.g. a leader's term-start noop).
-  const PoolMap &M = It->second;
-  // Compare-and-set on the generation: only the successor of the current
-  // committed map installs. A concurrent competing proposal commits in
-  // the metadata log too, but as a no-op — its proposer sees false and
-  // re-reads the map before trying again.
-  if (M.Generation != Committed.Generation + 1) {
-    Installed[Method] = false;
-    return;
-  }
-  installCommitted(M);
-  Installed[Method] = true;
-}
-
-void ShardedCluster::installCommitted(const PoolMap &M) {
-  if (M.Generation <= Committed.Generation) {
-    MapViolationsVec.push_back(
-        "pool map generation not monotone: committed gen " +
-        std::to_string(M.Generation) + " after " +
-        std::to_string(Committed.Generation));
-    return;
-  }
-  Committed = M;
-  ++MapChanges;
+void ShardedCluster::broadcast(const PoolMap &M) {
   // Propagate to every group's server-side view after the broadcast
   // latency. Views only move forward; a broadcast overtaken by a newer
   // one is ignored at delivery.
@@ -171,5 +134,5 @@ ShardedCluster::ingressCheck(GroupId G, uint32_t Shard,
 void ShardedCluster::fetchMap(
     std::function<void(const PoolMap &)> Done) {
   Queue.scheduleAfter(Opts.MapFetchLatencyUs,
-                      [this, Done = std::move(Done)] { Done(Committed); });
+                      [this, Done = std::move(Done)] { Done(Ledger.committed()); });
 }

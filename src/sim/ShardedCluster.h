@@ -30,12 +30,12 @@
 #ifndef ADORE_SIM_SHARDEDCLUSTER_H
 #define ADORE_SIM_SHARDEDCLUSTER_H
 
+#include "shard/MapLedger.h"
 #include "shard/PoolMap.h"
 #include "shard/ShardedKvClient.h"
 #include "sim/Cluster.h"
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -76,8 +76,6 @@ public:
   Cluster &meta() { return group(shard::MetaGroupId); }
   Cluster &group(shard::GroupId G);
   const Cluster &group(shard::GroupId G) const;
-  /// The spare-inclusive node universe of data group \p G.
-  NodeSet groupUniverse(shard::GroupId G) const;
 
   /// Arms every group's election timers.
   void start();
@@ -91,13 +89,7 @@ public:
   //===--------------------------------------------------------------===//
 
   /// The latest map committed by the metadata group.
-  const shard::PoolMap &committedMap() const { return Committed; }
-
-  /// Generation of data group \p G's server-side view (lags committedMap
-  /// by the broadcast latency).
-  uint64_t serverGen(shard::GroupId G) const {
-    return ServerView[G].Generation;
-  }
+  const shard::PoolMap &committedMap() const { return Ledger.committed(); }
 
   /// Proposes \p NewMap as a command to the metadata group. \p Done fires
   /// with true iff the proposal committed *and* was installed (its
@@ -121,23 +113,22 @@ public:
   // Inspection
   //===--------------------------------------------------------------===//
 
-  /// Generation-monotonicity audit: every committed-map install must be
-  /// strictly newer, every server-view install non-decreasing. Empty
+  /// Server-view audit: every view install must be non-decreasing.
+  /// (Committed installs are strictly newer by the ledger's CAS.) Empty
   /// means the invariant held.
   const std::vector<std::string> &mapViolations() const {
     return MapViolationsVec;
   }
 
   /// Number of installed (effective) map changes past the initial map.
-  uint64_t mapChangesCommitted() const { return MapChanges; }
+  uint64_t mapChangesCommitted() const { return Ledger.changes(); }
 
   /// A seed forked from this pool's master stream for client-side
   /// randomness (retry jitter), independent of the group streams.
   uint64_t clientSeed() const { return ClientSeed; }
 
 private:
-  void onMetaApply(size_t Index, MethodId Method);
-  void installCommitted(const shard::PoolMap &M);
+  void broadcast(const shard::PoolMap &M);
 
   const ReconfigScheme *Scheme;
   ShardedClusterOptions Opts;
@@ -147,17 +138,9 @@ private:
   /// Indexed by GroupId; slot 0 is the metadata group.
   std::vector<std::unique_ptr<Cluster>> GroupClusters;
 
-  shard::PoolMap Committed;
+  shard::MapLedger Ledger;
   /// Per-group server-side map view, indexed by GroupId.
   std::vector<shard::PoolMap> ServerView;
-  /// Outstanding map proposals keyed by their metadata-group ticket.
-  std::map<MethodId, shard::PoolMap> Proposals;
-  /// Tickets whose map actually became the committed map.
-  std::map<MethodId, bool> Installed;
-  MethodId NextTicket = 1;
-  /// First-apply-wins guard over the metadata ledger.
-  size_t MetaIndexSeen = 0;
-  uint64_t MapChanges = 0;
   uint64_t ClientSeed = 1;
   std::vector<std::string> MapViolationsVec;
 };

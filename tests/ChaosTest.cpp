@@ -783,23 +783,32 @@ TEST(ChaosDeterminismTest, SingleGroupRunsMatchPreShardingBaseline) {
   // below were captured on the pre-refactor tree (FNV-1a of the nemesis
   // trace and history text); a mismatch means the refactor perturbed
   // the legacy path — seed streams, scheduling order, or history
-  // formatting — which it must not.
+  // formatting — which it must not. The Groups>1 rows pin the sharded
+  // path the same way, captured before the pool-map ledger and the
+  // per-group checks were shared between the hosts and drivers.
   struct Golden {
     Scenario Kind;
+    size_t Groups;
     uint64_t Seed;
     uint64_t NemesisHash;
     uint64_t HistoryHash;
   };
   const Golden Goldens[] = {
-      {Scenario::Mixed, 77, 0xb25cf8ac3c01a0f4ULL, 0xb21a175df4384e82ULL},
-      {Scenario::Mixed, 1234, 0x0f28884619cf79d3ULL, 0x597b6ee6d5919b6dULL},
-      {Scenario::Reconfigs, 77, 0x26b59234d37c8d9bULL, 0xf14814afdc0739feULL},
-      {Scenario::Reconfigs, 1234, 0x6cb721c5919bd1baULL,
+      {Scenario::Mixed, 1, 77, 0xb25cf8ac3c01a0f4ULL, 0xb21a175df4384e82ULL},
+      {Scenario::Mixed, 1, 1234, 0x0f28884619cf79d3ULL,
+       0x597b6ee6d5919b6dULL},
+      {Scenario::Reconfigs, 1, 77, 0x26b59234d37c8d9bULL,
+       0xf14814afdc0739feULL},
+      {Scenario::Reconfigs, 1, 1234, 0x6cb721c5919bd1baULL,
        0xe0cbc05762f22279ULL},
-      {Scenario::CrashMidReconfig, 77, 0xd05b6e93a92e5bdbULL,
+      {Scenario::CrashMidReconfig, 1, 77, 0xd05b6e93a92e5bdbULL,
        0x042467fefd6b9f36ULL},
-      {Scenario::CrashMidReconfig, 1234, 0x88787faa7b3308ebULL,
+      {Scenario::CrashMidReconfig, 1, 1234, 0x88787faa7b3308ebULL,
        0x3238cc0e45835d56ULL},
+      {Scenario::ShardReconfig, 4, 5, 0xaa8e604bd79d4c97ULL,
+       0xe63053bffd3e5dd7ULL},
+      {Scenario::KillForever, 2, 77, 0x429220318b9600eaULL,
+       0x52e858635f193d9fULL},
   };
   auto Fnv = [](const std::string &S) {
     Fnv1aHasher H;
@@ -808,17 +817,21 @@ TEST(ChaosDeterminismTest, SingleGroupRunsMatchPreShardingBaseline) {
   };
   for (const Golden &G : Goldens) {
     ChaosRunOptions Opts;
+    Opts.Groups = G.Groups;
     Opts.Nemesis.Kind = G.Kind;
     Opts.Workload.NumOps = 30;
     ChaosRunResult R = runChaosScenario(Opts, G.Seed);
     EXPECT_TRUE(R.passed()) << R.summary();
-    EXPECT_TRUE(R.GroupStats.empty()) << "Groups=1 must take the legacy path";
+    if (G.Groups == 1) {
+      EXPECT_TRUE(R.GroupStats.empty())
+          << "Groups=1 must take the legacy path";
+    }
     EXPECT_EQ(Fnv(R.NemesisTrace), G.NemesisHash)
-        << scenarioName(G.Kind) << " seed " << G.Seed
-        << ": nemesis trace drifted from the pre-sharding baseline";
+        << scenarioName(G.Kind) << " groups " << G.Groups << " seed "
+        << G.Seed << ": nemesis trace drifted from the pinned baseline";
     EXPECT_EQ(Fnv(R.HistoryText), G.HistoryHash)
-        << scenarioName(G.Kind) << " seed " << G.Seed
-        << ": history drifted from the pre-sharding baseline";
+        << scenarioName(G.Kind) << " groups " << G.Groups << " seed "
+        << G.Seed << ": history drifted from the pinned baseline";
   }
 }
 

@@ -8,11 +8,13 @@
 /// Unit tests for the pure shard layer: golden-value placement vectors
 /// (the hash is an on-disk/wire contract — silent drift would re-route
 /// every key), distribution and monotone-stability properties of the
-/// jump hash, pool-map construction/codec, and the routing client's
-/// NACK/refetch/retry state machine against a scripted fake transport.
+/// jump hash, pool-map construction/codec, the pool map's generation-CAS
+/// ledger, and the routing client's NACK/refetch/retry state machine
+/// against a scripted fake transport.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "shard/MapLedger.h"
 #include "shard/Placement.h"
 #include "shard/PoolMap.h"
 #include "shard/ShardedKvClient.h"
@@ -133,12 +135,18 @@ TEST(PoolMapTest, UniformMapIsValidAndDisjoint) {
   }
   for (GroupId G = 1; G <= 4; ++G)
     EXPECT_EQ(PerGroup[G], 4u);
-  // Replica sets live in disjoint per-group id ranges.
+  // Replica sets live in disjoint per-group id ranges, and every id
+  // names its group.
   for (GroupId G = 0; G <= 4; ++G)
     for (NodeId N : M.GroupReplicas[G]) {
       EXPECT_GT(N, groupIdBase(G));
       EXPECT_LE(N, groupIdBase(G) + 3);
+      EXPECT_EQ(groupOfNode(N), G);
     }
+  for (GroupId G = 0; G <= 4; ++G) {
+    EXPECT_EQ(groupOfNode(groupIdBase(G) + 1), G);
+    EXPECT_EQ(groupOfNode(groupIdBase(G) + 999), G);
+  }
   // Key placement goes through shard ownership.
   for (uint64_t K = 0; K != 100; ++K)
     EXPECT_EQ(M.groupForKey(K), M.groupForShard(shardForKey(K, 16)));
@@ -189,6 +197,93 @@ TEST(PoolMapTest, ValidityCatchesStructuralLies) {
   Bad = M;
   Bad.Roster = NodeSet(); // replicas outside the roster
   EXPECT_FALSE(Bad.valid());
+}
+
+//===----------------------------------------------------------------------===//
+// Pool map ledger: the metadata group's generation CAS
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A meta-log entry carrying \p Method (a ticket, or any other command).
+core::LogEntry metaEntry(MethodId Method) {
+  core::LogEntry E;
+  E.Kind = raft::EntryKind::Method;
+  E.Method = Method;
+  return E;
+}
+
+/// \p M with its generation set to \p Gen and group 1 moved to \p Replicas.
+PoolMap successor(const PoolMap &M, uint64_t Gen, const NodeSet &Replicas) {
+  PoolMap N = M;
+  N.Generation = Gen;
+  N.GroupReplicas[1] = Replicas;
+  N.Roster = N.Roster.unionWith(Replicas);
+  return N;
+}
+
+} // namespace
+
+TEST(MapLedgerTest, NextGenerationWinsAndConcurrentProposalLoses) {
+  PoolMap Initial = makeUniformPoolMap(2, 4, 3, 2, 3);
+  MapLedger L(Initial);
+  NodeSet A{1001, 1002, 1004}, B{1001, 1002, 1005};
+  MethodId TA = L.propose(successor(Initial, 2, A));
+  MethodId TB = L.propose(successor(Initial, 2, B));
+  EXPECT_NE(TA, TB);
+  EXPECT_FALSE(L.verdict(TA));
+  // Both race through the meta log; the first applied wins the CAS.
+  EXPECT_TRUE(L.apply(1, metaEntry(TA)));
+  EXPECT_FALSE(L.apply(2, metaEntry(TB)));
+  EXPECT_EQ(L.verdict(TA), std::optional<bool>(true));
+  EXPECT_EQ(L.verdict(TB), std::optional<bool>(false));
+  EXPECT_EQ(L.committed().Generation, 2u);
+  EXPECT_EQ(L.committed().GroupReplicas[1], A);
+  EXPECT_EQ(L.changes(), 1u);
+}
+
+TEST(MapLedgerTest, SkippedStaleAndInvalidGenerationsLose) {
+  PoolMap Initial = makeUniformPoolMap(2, 4, 3, 2, 3);
+  MapLedger L(Initial);
+  NodeSet A{1001, 1002, 1004};
+  MethodId Skip = L.propose(successor(Initial, 3, A));
+  MethodId Stale = L.propose(successor(Initial, 1, A));
+  PoolMap Bad = successor(Initial, 2, A);
+  Bad.ShardToGroup[0] = MetaGroupId;
+  MethodId Invalid = L.propose(Bad);
+  EXPECT_FALSE(L.apply(1, metaEntry(Skip)));
+  EXPECT_FALSE(L.apply(2, metaEntry(Stale)));
+  EXPECT_FALSE(L.apply(3, metaEntry(Invalid)));
+  for (MethodId T : {Skip, Stale, Invalid})
+    EXPECT_EQ(L.verdict(T), std::optional<bool>(false)) << "ticket " << T;
+  EXPECT_EQ(L.committed(), Initial);
+  EXPECT_EQ(L.changes(), 0u);
+}
+
+TEST(MapLedgerTest, NonTicketsAndReappliedIndexesAreIgnored) {
+  PoolMap Initial = makeUniformPoolMap(2, 4, 3, 2, 3);
+  MapLedger L(Initial);
+  NodeSet A{1001, 1002, 1004}, B{1001, 1002, 1005};
+  MethodId T1 = L.propose(successor(Initial, 2, A));
+  // A term-start noop, a reconfig entry, and a method no proposal
+  // issued decide nothing.
+  EXPECT_FALSE(L.apply(1, metaEntry(0)));
+  core::LogEntry Reconf = metaEntry(T1);
+  Reconf.Kind = raft::EntryKind::Reconfig;
+  EXPECT_FALSE(L.apply(2, Reconf));
+  EXPECT_FALSE(L.apply(3, metaEntry(T1 + 100)));
+  EXPECT_FALSE(L.verdict(T1));
+  EXPECT_TRUE(L.apply(4, metaEntry(T1)));
+  // Other replicas applying index 4 again carry nothing new.
+  MethodId T2 = L.propose(successor(L.committed(), 3, B));
+  EXPECT_FALSE(L.apply(4, metaEntry(T2)));
+  EXPECT_FALSE(L.verdict(T2));
+  // A ticket re-committed at a later index keeps its first verdict.
+  EXPECT_FALSE(L.apply(5, metaEntry(T1)));
+  EXPECT_EQ(L.verdict(T1), std::optional<bool>(true));
+  EXPECT_TRUE(L.apply(6, metaEntry(T2)));
+  EXPECT_EQ(L.committed().Generation, 3u);
+  EXPECT_EQ(L.changes(), 2u);
 }
 
 //===----------------------------------------------------------------------===//
