@@ -10,7 +10,9 @@
 // enumeration (the checker's successor fan-out), SRaft protocol rounds,
 // and the ADO baseline's operations — plus the production core's hot
 // path (core::RaftCore) and the store's persist at several log lengths,
-// whose per-call time must not grow with the log. Uses google-benchmark.
+// whose per-call time must not grow with the log, and the two codecs a
+// TCP hop runs (rt/Wire per message kind, net::FrameSplitter
+// reassembly). Uses google-benchmark.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,11 +23,15 @@
 #include "kv/KvStore.h"
 #include "mc/AdoreModel.h"
 #include "mc/Explorer.h"
+#include "net/Framing.h"
 #include "raft/SRaft.h"
+#include "rt/Wire.h"
 #include "store/NodeStore.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -320,6 +326,122 @@ void BM_StorePersist(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_StorePersist)->Arg(1 << 10)->Arg(1 << 16);
+
+/// A representative message of kind \p K, shaped like writes-tcp
+/// traffic: an AppendEntries carries one client entry.
+core::Msg sampleMsg(core::Msg::Kind K) {
+  core::Msg M;
+  M.K = K;
+  M.From = 1;
+  M.To = 2;
+  M.Term = 3;
+  switch (K) {
+  case core::Msg::Kind::RequestVote:
+    M.LastLogTerm = 2;
+    M.LastLogIndex = 4096;
+    break;
+  case core::Msg::Kind::VoteReply:
+    M.Granted = true;
+    break;
+  case core::Msg::Kind::AppendEntries: {
+    M.PrevIndex = 4096;
+    M.PrevTerm = 3;
+    M.LeaderCommit = 4095;
+    core::LogEntry E;
+    E.Term = 3;
+    E.Kind = raft::EntryKind::Method;
+    E.Method = 12345;
+    E.ClientSeq = 1234567890123ull;
+    M.Entries = {E};
+    break;
+  }
+  case core::Msg::Kind::AppendReply:
+    M.Success = true;
+    M.MatchIndex = 4097;
+    break;
+  case core::Msg::Kind::TimeoutNow:
+    break;
+  case core::Msg::Kind::InstallSnapshot:
+    M.SnapIndex = 4096;
+    M.SnapTerm = 3;
+    M.Offset = 8192;
+    M.Chunk.assign(1024, 's');
+    break;
+  case core::Msg::Kind::InstallSnapshotReply:
+    M.Success = true;
+    M.SnapIndex = 4096;
+    M.Offset = 9216;
+    break;
+  case core::Msg::Kind::ReadIndexQuery:
+    M.Done = true;
+    M.ReadRound = 42;
+    break;
+  case core::Msg::Kind::ReadIndexReply:
+    M.Done = true;
+    M.Success = true;
+    M.ReadRound = 42;
+    break;
+  }
+  return M;
+}
+
+/// One rt/Wire encode plus decode of a message of each Msg::Kind (the
+/// argument is the kind's ordinal): the codec work of one TCP hop.
+void BM_WireEncodeDecode(benchmark::State &State) {
+  core::Msg M = sampleMsg(static_cast<core::Msg::Kind>(State.range(0)));
+  core::Msg Back;
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::string Frame = rt::encodeMsg(M);
+    Bytes = Frame.size();
+    if (!rt::decodeMsg(Frame, Back)) {
+      State.SkipWithError("decode failed");
+      return;
+    }
+    benchmark::DoNotOptimize(Back.Term);
+  }
+  State.SetBytesProcessed(State.iterations() * static_cast<int64_t>(Bytes));
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_WireEncodeDecode)->DenseRange(
+    0, static_cast<int>(core::Msg::Kind::ReadIndexReply));
+
+/// net::FrameSplitter reassembling a stream of writes-tcp-sized frames
+/// (AppendEntries with one entry, alternating with AppendReply) that
+/// arrives cut at arbitrary boundaries, 1..1500 bytes per read.
+void BM_FrameSplitterFeed(benchmark::State &State) {
+  std::string Stream;
+  size_t Frames = 0;
+  for (core::Msg::Kind K :
+       {core::Msg::Kind::AppendEntries, core::Msg::Kind::AppendReply})
+    for (int I = 0; I != 256; ++I, ++Frames)
+      net::appendFrame(Stream, rt::encodeMsg(sampleMsg(K)));
+  std::vector<size_t> Cuts;
+  uint64_t Lcg = 12345;
+  for (size_t Pos = 0; Pos < Stream.size();) {
+    Lcg = Lcg * 6364136223846793005ull + 1442695040888963407ull;
+    size_t Len = std::min<size_t>(1 + (Lcg >> 33) % 1500, Stream.size() - Pos);
+    Cuts.push_back(Len);
+    Pos += Len;
+  }
+  size_t Got = 0;
+  for (auto _ : State) {
+    net::FrameSplitter Splitter;
+    const char *P = Stream.data();
+    for (size_t Len : Cuts) {
+      Splitter.feed(P, Len, [&Got](std::string F) {
+        Got += F.size() != 0;
+      });
+      P += Len;
+    }
+  }
+  if (Got != State.iterations() * Frames)
+    State.SkipWithError("frames lost in reassembly");
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<int64_t>(Stream.size()));
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(Frames));
+}
+BENCHMARK(BM_FrameSplitterFeed);
 
 } // namespace
 

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <vector>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -49,33 +50,37 @@ constexpr int MaxIov = 64;
 
 } // namespace
 
-TcpTransport::TcpTransport(TcpTransportOptions Opts) : Opts(Opts) {
-  EpollFd = epoll_create1(EPOLL_CLOEXEC);
-  WakeFd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  {
-    sync::MutexLock Lock(Mu);
-    Fds[WakeFd] = FdInfo{FdKind::Wake, InvalidNodeId};
-  }
-  epoll_event Ev{};
-  Ev.events = EPOLLIN;
-  Ev.data.fd = WakeFd;
-  (void)epoll_ctl(EpollFd, EPOLL_CTL_ADD, WakeFd, &Ev);
-  Loop = std::thread([this] { loop(); });
-}
+TcpTransport::TcpTransport(TcpTransportOptions Opts) : Opts(Opts) {}
 
 TcpTransport::~TcpTransport() {
+  std::vector<Endpoint *> All;
   {
-    sync::MutexLock Lock(Mu);
-    Stop = true;
+    sync::MutexLock Lock(RegMu);
+    for (auto &KV : Registry)
+      All.push_back(KV.second.get());
   }
-  wakeLoop();
-  if (Loop.joinable())
-    Loop.join();
-  sync::MutexLock Lock(Mu);
-  for (const auto &KV : Fds)
-    (void)::close(KV.first);
-  Fds.clear();
-  (void)::close(EpollFd);
+  for (Endpoint *E : All) {
+    {
+      sync::MutexLock Lock(E->Mu);
+      E->Stop = true;
+    }
+    wake(*E);
+  }
+  for (Endpoint *E : All)
+    if (E->Loop.joinable())
+      E->Loop.join();
+  for (Endpoint *E : All) {
+    sync::MutexLock Lock(E->Mu);
+    if (E->ListenFd >= 0)
+      (void)::close(E->ListenFd);
+    for (const auto &KV : E->Inbounds)
+      (void)::close(KV.first);
+    E->Inbounds.clear();
+    if (E->Out.Fd >= 0)
+      (void)::close(E->Out.Fd);
+    (void)::close(E->WakeFd);
+    (void)::close(E->EpollFd);
+  }
 }
 
 uint64_t TcpTransport::nowUs() const {
@@ -85,9 +90,15 @@ uint64_t TcpTransport::nowUs() const {
           .count());
 }
 
-void TcpTransport::wakeLoop() {
+void TcpTransport::wake(const Endpoint &E) {
   uint64_t One = 1;
-  (void)!::write(WakeFd, &One, sizeof(One));
+  (void)!::write(E.WakeFd, &One, sizeof(One));
+}
+
+TcpTransport::Endpoint *TcpTransport::find(NodeId Id) const {
+  sync::MutexLock Lock(RegMu);
+  auto It = Registry.find(Id);
+  return It == Registry.end() ? nullptr : It->second.get();
 }
 
 void TcpTransport::attach(NodeId Id, Handler H) {
@@ -103,56 +114,87 @@ void TcpTransport::attach(NodeId Id, Handler H) {
   (void)::getsockname(Fd, asSockaddr(A), &Len);
   uint16_t Port = ntohs(A.sin_port);
 
-  sync::MutexLock Lock(Mu);
+  Endpoint *E;
+  {
+    sync::MutexLock Lock(RegMu);
+    std::unique_ptr<Endpoint> &Slot = Registry[Id];
+    if (!Slot) {
+      Slot = std::make_unique<Endpoint>();
+      Slot->Id = Id;
+      Slot->EpollFd = epoll_create1(EPOLL_CLOEXEC);
+      Slot->WakeFd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      epoll_event Ev{};
+      Ev.events = EPOLLIN;
+      Ev.data.fd = Slot->WakeFd;
+      (void)epoll_ctl(Slot->EpollFd, EPOLL_CTL_ADD, Slot->WakeFd, &Ev);
+      Endpoint *New = Slot.get();
+      Slot->Loop = std::thread([this, New] { loop(*New); });
+    }
+    E = Slot.get();
+  }
+
+  sync::MutexLock Lock(E->Mu);
   // Replacing an endpoint retires its old listener; established inbound
   // connections keep delivering (to the new handler — the destination
-  // id is what names them).
-  auto It = Endpoints.find(Id);
-  if (It != Endpoints.end() && It->second.ListenFd >= 0) {
-    Fds.erase(It->second.ListenFd);
-    (void)::close(It->second.ListenFd); // close() drops it from epoll.
-  }
-  Endpoint &E = Endpoints[Id];
-  E.ListenFd = Fd;
-  E.Port = Port;
-  E.Deliver = std::move(H);
-  Fds[Fd] = FdInfo{FdKind::Listen, Id};
+  // id is what names them). The thread touches the listener only under
+  // Mu, so closing it here cannot race an accept.
+  if (E->ListenFd >= 0)
+    (void)::close(E->ListenFd); // close() drops it from epoll.
+  E->ListenFd = Fd;
+  E->Port = Port;
+  E->Deliver = std::move(H);
+  E->Attached = true;
   epoll_event Ev{};
   Ev.events = EPOLLIN;
   Ev.data.fd = Fd;
-  (void)epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev);
+  (void)epoll_ctl(E->EpollFd, EPOLL_CTL_ADD, Fd, &Ev);
 }
 
 void TcpTransport::detach(NodeId Id) {
-  sync::MutexLock Lock(Mu);
-  if (Stop)
-    return; // Loop gone; dtor closes everything.
-  DetachQ.push_back(Id);
-  uint64_t Gen = ++DetachGenRequested;
-  wakeLoop();
-  // Rendezvous: once the loop thread has drained this request, no
+  Endpoint *E = find(Id);
+  if (!E)
+    return;
+  sync::MutexLock Lock(E->Mu);
+  if (E->Stop)
+    return; // Thread gone; the dtor closes everything.
+  if (E->Attached) {
+    E->Attached = false;
+    E->Deliver = nullptr;
+    (void)::close(E->ListenFd);
+    E->ListenFd = -1;
+    E->Port = 0;
+    // The outgoing connection toward it, and anything still queued, are
+    // dropped (datagram semantics); a later re-attach re-dials fresh.
+    Peer &P = E->Out;
+    if (P.Fd >= 0)
+      (void)::close(P.Fd);
+    FramesDropped.fetch_add(P.WriteQ.size(), std::memory_order_relaxed);
+    P = Peer{};
+  }
+  uint64_t Gen = ++E->DetachGenRequested;
+  wake(*E);
+  // Rendezvous: once the thread has passed the top of its loop, no
   // handler invocation for Id can be in flight (dispatch happens only
-  // on that thread, between command drains).
-  while (DetachGenDone < Gen && !Stop)
-    Cv.wait(Mu);
+  // on that thread, between those passes).
+  while (E->DetachGenDone < Gen && !E->Stop)
+    E->Cv.wait(E->Mu);
 }
 
 void TcpTransport::post(NodeId To, std::string Frame) {
-  if (!frameable(Frame)) {
+  Endpoint *E = frameable(Frame) ? find(To) : nullptr;
+  if (!E) {
+    // Unframeable, or an unknown destination: dropped like a packet to
+    // a dead host.
     FramesDropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   bool NeedWake = false;
   {
-    sync::MutexLock Lock(Mu);
-    if (Stop || Endpoints.find(To) == Endpoints.end()) {
-      // Unknown destination: dropped like a packet to a dead host.
-      FramesDropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    Peer &P = Peers[To];
+    sync::MutexLock Lock(E->Mu);
+    Peer &P = E->Out;
     size_t Framed = Frame.size() + FrameHeaderBytes;
-    if (P.QueuedBytes + Framed > Opts.MaxQueuedBytesPerPeer) {
+    if (E->Stop || !E->Attached ||
+        P.QueuedBytes + Framed > Opts.MaxQueuedBytesPerPeer) {
       FramesDropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -161,19 +203,21 @@ void TcpTransport::post(NodeId To, std::string Frame) {
     appendFrame(Bytes, Frame);
     P.WriteQ.push_back(std::move(Bytes));
     P.QueuedBytes += Framed;
-    // The loop only sleeps once every queued peer is armed (EPOLLOUT or
-    // a retry timeout), so a wake is needed exactly on the empty ->
+    // The thread only sleeps once the queue is armed (EPOLLOUT or a
+    // retry timeout), so a wake is needed exactly on the empty ->
     // non-empty transition.
     NeedWake = P.WriteQ.size() == 1;
   }
   if (NeedWake)
-    wakeLoop();
+    wake(*E);
 }
 
 uint16_t TcpTransport::listenPort(NodeId Id) const {
-  sync::MutexLock Lock(Mu);
-  auto It = Endpoints.find(Id);
-  return It == Endpoints.end() ? 0 : It->second.Port;
+  Endpoint *E = find(Id);
+  if (!E)
+    return 0;
+  sync::MutexLock Lock(E->Mu);
+  return E->Port;
 }
 
 TcpTransportStats TcpTransport::stats() const {
@@ -188,67 +232,39 @@ TcpTransportStats TcpTransport::stats() const {
   return S;
 }
 
-bool TcpTransport::processCommands() {
-  if (DetachQ.empty())
+bool TcpTransport::processDetach(Endpoint &E) {
+  if (E.DetachGenDone == E.DetachGenRequested)
     return false;
-  for (NodeId Id : DetachQ) {
-    auto It = Endpoints.find(Id);
-    if (It != Endpoints.end()) {
-      if (It->second.ListenFd >= 0) {
-        Fds.erase(It->second.ListenFd);
-        (void)::close(It->second.ListenFd);
-      }
-      Endpoints.erase(It);
-    }
-    // Inbound connections destined for the endpoint die with it.
-    for (auto CI = Inbounds.begin(); CI != Inbounds.end();) {
-      if (CI->second.Dest == Id) {
-        Fds.erase(CI->first);
-        (void)::close(CI->first);
-        CI = Inbounds.erase(CI);
-      } else {
-        ++CI;
-      }
-    }
-    // Our outgoing connection toward it, and anything still queued, are
-    // dropped (datagram semantics); a later re-attach re-dials fresh.
-    auto PI = Peers.find(Id);
-    if (PI != Peers.end()) {
-      Peer &P = PI->second;
-      if (P.Fd >= 0) {
-        Fds.erase(P.Fd);
-        (void)::close(P.Fd);
-      }
-      FramesDropped.fetch_add(P.WriteQ.size(), std::memory_order_relaxed);
-      Peers.erase(PI);
-    }
+  // Inbound connections die with the endpoint, unless a re-attach
+  // already revived it (they then deliver to the new handler).
+  if (!E.Attached) {
+    for (const auto &KV : E.Inbounds)
+      (void)::close(KV.first);
+    E.Inbounds.clear();
   }
-  DetachQ.clear();
-  DetachGenDone = DetachGenRequested;
+  E.DetachGenDone = E.DetachGenRequested;
   return true;
 }
 
-void TcpTransport::acceptAll(NodeId Dest, int ListenFd) {
+void TcpTransport::acceptAll(Endpoint &E) {
   for (;;) {
-    int Fd = ::accept4(ListenFd, nullptr, nullptr,
+    int Fd = ::accept4(E.ListenFd, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (Fd < 0)
-      return; // EAGAIN, or the listener was concurrently retired.
+      return; // EAGAIN.
     setNoDelay(Fd);
     Accepts.fetch_add(1, std::memory_order_relaxed);
-    {
-      sync::MutexLock Lock(Mu);
-      Inbounds[Fd] = Inbound{Dest, FrameSplitter{}};
-      Fds[Fd] = FdInfo{FdKind::Inbound, Dest};
-    }
+    E.Inbounds[Fd] = FrameSplitter{};
     epoll_event Ev{};
     Ev.events = EPOLLIN;
     Ev.data.fd = Fd;
-    (void)epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev);
+    (void)epoll_ctl(E.EpollFd, EPOLL_CTL_ADD, Fd, &Ev);
   }
 }
 
-void TcpTransport::serviceInbound(int Fd) {
+void TcpTransport::serviceInbound(Endpoint &E, int Fd) {
+  // Only this thread closes an inbound fd, so reading it unlocked is
+  // safe; its splitter and the handler are read under Mu.
   char Buf[65536];
   for (;;) {
     ssize_t R = ::recv(Fd, Buf, sizeof(Buf), 0);
@@ -259,16 +275,14 @@ void TcpTransport::serviceInbound(int Fd) {
       Handler Deliver;
       bool StreamOk = true;
       {
-        sync::MutexLock Lock(Mu);
-        auto It = Inbounds.find(Fd);
-        if (It == Inbounds.end())
+        sync::MutexLock Lock(E.Mu);
+        auto It = E.Inbounds.find(Fd);
+        if (It == E.Inbounds.end())
           return;
-        StreamOk = It->second.Splitter.feed(
+        StreamOk = It->second.feed(
             Buf, static_cast<size_t>(R),
             [&Frames](std::string F) { Frames.push_back(std::move(F)); });
-        auto EI = Endpoints.find(It->second.Dest);
-        if (EI != Endpoints.end())
-          Deliver = EI->second.Deliver;
+        Deliver = E.Deliver;
       }
       if (Deliver) {
         for (std::string &F : Frames) {
@@ -281,8 +295,8 @@ void TcpTransport::serviceInbound(int Fd) {
       if (!StreamOk) {
         // Poisoned framing: nothing after a bogus header can be
         // trusted; drop the connection like a corrupt packet.
-        sync::MutexLock Lock(Mu);
-        closeInbound(Fd);
+        sync::MutexLock Lock(E.Mu);
+        closeInbound(E, Fd);
         return;
       }
       continue;
@@ -292,60 +306,45 @@ void TcpTransport::serviceInbound(int Fd) {
     if (R < 0 && errno == EINTR)
       continue;
     // EOF or error: the sender's side is gone.
-    sync::MutexLock Lock(Mu);
-    closeInbound(Fd);
+    sync::MutexLock Lock(E.Mu);
+    closeInbound(E, Fd);
     return;
   }
 }
 
-void TcpTransport::closeInbound(int Fd) {
-  auto It = Inbounds.find(Fd);
-  if (It == Inbounds.end())
-    return;
-  Fds.erase(Fd);
-  Inbounds.erase(It);
-  (void)::close(Fd);
+void TcpTransport::closeInbound(Endpoint &E, int Fd) {
+  if (E.Inbounds.erase(Fd) != 0)
+    (void)::close(Fd);
 }
 
-bool TcpTransport::dialPeer(NodeId To, Peer &P) {
-  auto It = Endpoints.find(To);
-  if (It == Endpoints.end()) {
-    // Destination vanished since the frames were queued: drop them.
-    FramesDropped.fetch_add(P.WriteQ.size(), std::memory_order_relaxed);
-    P.WriteQ.clear();
-    P.QueuedBytes = 0;
-    P.HeadOffset = 0;
-    return false;
-  }
+void TcpTransport::dialPeer(Endpoint &E) {
+  Peer &P = E.Out;
   int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (Fd < 0) {
     P.RetryAtUs = nowUs() + Opts.ReconnectDelayUs;
-    return true;
+    return;
   }
   setNoDelay(Fd);
-  sockaddr_in A = loopbackAddr(It->second.Port);
+  sockaddr_in A = loopbackAddr(E.Port);
   int R = ::connect(Fd, asSockaddr(A), sizeof(A));
   if (R != 0 && errno != EINPROGRESS) {
     (void)::close(Fd);
     P.RetryAtUs = nowUs() + Opts.ReconnectDelayUs;
-    return true;
+    return;
   }
   Dials.fetch_add(1, std::memory_order_relaxed);
   P.Fd = Fd;
   P.Connecting = R != 0;
   P.WantWrite = true;
-  Fds[Fd] = FdInfo{FdKind::Outgoing, To};
   epoll_event Ev{};
   Ev.events = EPOLLIN | EPOLLOUT;
   Ev.data.fd = Fd;
-  (void)epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev);
-  return true;
+  (void)epoll_ctl(E.EpollFd, EPOLL_CTL_ADD, Fd, &Ev);
 }
 
-void TcpTransport::dropPeerConnection(NodeId To, Peer &P, bool Backoff) {
-  (void)To;
+void TcpTransport::dropPeerConnection(Endpoint &E) {
+  Peer &P = E.Out;
   if (P.Fd >= 0) {
-    Fds.erase(P.Fd);
     (void)::close(P.Fd);
     P.Fd = -1;
     ConnectionDrops.fetch_add(1, std::memory_order_relaxed);
@@ -360,13 +359,13 @@ void TcpTransport::dropPeerConnection(NodeId To, Peer &P, bool Backoff) {
     P.HeadOffset = 0;
     FramesDropped.fetch_add(1, std::memory_order_relaxed);
   }
-  if (Backoff)
-    P.RetryAtUs = nowUs() + Opts.ReconnectDelayUs;
+  P.RetryAtUs = nowUs() + Opts.ReconnectDelayUs;
 }
 
-bool TcpTransport::flushPeer(NodeId To, Peer &P) {
+void TcpTransport::flushPeer(Endpoint &E) {
+  Peer &P = E.Out;
   if (P.Fd < 0 || P.Connecting)
-    return true;
+    return;
   while (P.QueuedBytes != 0) {
     iovec Iov[MaxIov];
     int NIov = 0;
@@ -384,8 +383,8 @@ bool TcpTransport::flushPeer(NodeId To, Peer &P) {
         continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK)
         break; // Kernel buffer full: EPOLLOUT will resume us.
-      dropPeerConnection(To, P, /*Backoff=*/true);
-      return false;
+      dropPeerConnection(E);
+      return;
     }
     BytesSent.fetch_add(static_cast<uint64_t>(W), std::memory_order_relaxed);
     size_t Left = static_cast<size_t>(W);
@@ -410,49 +409,72 @@ bool TcpTransport::flushPeer(NodeId To, Peer &P) {
     epoll_event Ev{};
     Ev.events = EPOLLIN | (Want ? EPOLLOUT : 0u);
     Ev.data.fd = P.Fd;
-    (void)epoll_ctl(EpollFd, EPOLL_CTL_MOD, P.Fd, &Ev);
+    (void)epoll_ctl(E.EpollFd, EPOLL_CTL_MOD, P.Fd, &Ev);
   }
-  return true;
 }
 
-uint64_t TcpTransport::servicePeers() {
-  sync::MutexLock Lock(Mu);
-  uint64_t Earliest = 0;
-  uint64_t Now = nowUs();
-  for (auto &KV : Peers) {
-    Peer &P = KV.second;
-    if (P.QueuedBytes == 0)
-      continue;
-    if (P.Fd < 0) {
-      if (P.RetryAtUs > Now) {
-        if (Earliest == 0 || P.RetryAtUs < Earliest)
-          Earliest = P.RetryAtUs;
-        continue;
-      }
-      if (!dialPeer(KV.first, P))
-        continue;
+uint64_t TcpTransport::servicePeer(Endpoint &E) {
+  Peer &P = E.Out;
+  if (P.QueuedBytes == 0)
+    return 0;
+  if (P.Fd < 0) {
+    if (P.RetryAtUs > nowUs())
+      return P.RetryAtUs;
+    dialPeer(E);
+    if (P.Fd < 0)
+      return P.RetryAtUs; // The dial failed at once; retry later.
+  }
+  flushPeer(E);
+  return 0;
+}
+
+void TcpTransport::serviceOutgoing(Endpoint &E, uint32_t Ev) {
+  Peer &P = E.Out;
+  if ((Ev & (EPOLLERR | EPOLLHUP)) != 0) {
+    dropPeerConnection(E);
+    return;
+  }
+  if (P.Connecting) {
+    int Err = 0;
+    socklen_t Len = sizeof(Err);
+    (void)::getsockopt(P.Fd, SOL_SOCKET, SO_ERROR, &Err, &Len);
+    if (Err != 0) {
+      dropPeerConnection(E);
+      return;
     }
-    if (P.Fd >= 0 && !P.Connecting)
-      (void)flushPeer(KV.first, P);
+    P.Connecting = false;
   }
-  return Earliest;
+  if ((Ev & EPOLLIN) != 0) {
+    // The receiver never writes back on the outgoing connection;
+    // readable means EOF or reset.
+    char Probe[64];
+    ssize_t R = ::recv(P.Fd, Probe, sizeof(Probe), 0);
+    if (R == 0 || (R < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                   errno != EINTR)) {
+      dropPeerConnection(E);
+      return;
+    }
+  }
+  flushPeer(E);
 }
 
-void TcpTransport::loop() {
-  epoll_event Events[64];
+void TcpTransport::loop(Endpoint &E) {
+  rt::markDedicatedDeliveryThread(E.Id);
+  epoll_event Events[16];
   for (;;) {
+    uint64_t NextRetryUs;
     {
-      sync::MutexLock Lock(Mu);
-      if (processCommands())
-        Cv.notifyAll();
-      if (Stop) {
+      sync::MutexLock Lock(E.Mu);
+      if (processDetach(E))
+        E.Cv.notifyAll();
+      if (E.Stop) {
         // Release any detach() still parked on the rendezvous.
-        DetachGenDone = DetachGenRequested;
-        Cv.notifyAll();
+        E.DetachGenDone = E.DetachGenRequested;
+        E.Cv.notifyAll();
         return;
       }
+      NextRetryUs = servicePeer(E);
     }
-    uint64_t NextRetryUs = servicePeers();
     int TimeoutMs = -1;
     if (NextRetryUs != 0) {
       uint64_t Now = nowUs();
@@ -460,7 +482,7 @@ void TcpTransport::loop() {
                       ? static_cast<int>((NextRetryUs - Now) / 1000 + 1)
                       : 0;
     }
-    int N = ::epoll_wait(EpollFd, Events, 64, TimeoutMs);
+    int N = ::epoll_wait(E.EpollFd, Events, 16, TimeoutMs);
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -468,65 +490,26 @@ void TcpTransport::loop() {
     }
     for (int I = 0; I != N; ++I) {
       int Fd = Events[I].data.fd;
-      uint32_t Ev = Events[I].events;
-      FdKind Kind;
-      NodeId Id;
-      {
-        sync::MutexLock Lock(Mu);
-        auto It = Fds.find(Fd);
-        if (It == Fds.end())
-          continue; // Stale event for an fd already retired.
-        Kind = It->second.Kind;
-        Id = It->second.Id;
-      }
-      switch (Kind) {
-      case FdKind::Wake: {
+      if (Fd == E.WakeFd) {
         uint64_t V;
-        while (::read(WakeFd, &V, sizeof(V)) == sizeof(V)) {
+        while (::read(E.WakeFd, &V, sizeof(V)) == sizeof(V)) {
         }
-        break;
+        continue;
       }
-      case FdKind::Listen:
-        acceptAll(Id, Fd);
-        break;
-      case FdKind::Inbound:
-        serviceInbound(Fd);
-        break;
-      case FdKind::Outgoing: {
-        sync::MutexLock Lock(Mu);
-        auto It = Peers.find(Id);
-        if (It == Peers.end() || It->second.Fd != Fd)
-          break;
-        Peer &P = It->second;
-        if ((Ev & (EPOLLERR | EPOLLHUP)) != 0) {
-          dropPeerConnection(Id, P, /*Backoff=*/true);
-          break;
-        }
-        if (P.Connecting) {
-          int Err = 0;
-          socklen_t Len = sizeof(Err);
-          (void)::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &Err, &Len);
-          if (Err != 0) {
-            dropPeerConnection(Id, P, /*Backoff=*/true);
-            break;
-          }
-          P.Connecting = false;
-        }
-        if ((Ev & EPOLLIN) != 0) {
-          // The receiver never writes back on our outgoing connection;
-          // readable means EOF or reset.
-          char Probe[64];
-          ssize_t R = ::recv(Fd, Probe, sizeof(Probe), 0);
-          if (R == 0 || (R < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                         errno != EINTR)) {
-            dropPeerConnection(Id, P, /*Backoff=*/true);
-            break;
-          }
-        }
-        (void)flushPeer(Id, P);
-        break;
+      bool IsInbound = false;
+      {
+        // Classify by the current state: an event for an fd retired
+        // earlier in this batch matches nothing and is skipped.
+        sync::MutexLock Lock(E.Mu);
+        if (Fd == E.ListenFd)
+          acceptAll(E);
+        else if (Fd == E.Out.Fd)
+          serviceOutgoing(E, Events[I].events);
+        else
+          IsInbound = E.Inbounds.count(Fd) != 0;
       }
-      }
+      if (IsInbound)
+        serviceInbound(E, Fd);
     }
   }
 }

@@ -7,11 +7,19 @@
 /// \file
 /// The real-socket implementation of the rt::Transport seam: every
 /// attached endpoint gets a loopback TCP listener on an ephemeral port
-/// (the in-process port registry replaces DNS), and post() lazily dials
-/// a per-destination connection, queues length-framed bytes, and lets a
-/// single epoll loop thread flush them with vectored writev. Reads are
-/// reassembled by net::FrameSplitter and delivered to the endpoint's
-/// handler on the loop thread.
+/// (the in-process port registry replaces DNS), and post() queues
+/// length-framed bytes for a lazily dialed connection toward the
+/// destination.
+///
+/// Each endpoint owns everything about frames headed to it: its
+/// listener and the connections it accepted (with their FrameSplitters),
+/// the one outgoing connection toward it and that connection's bounded
+/// write queue, and its own epoll fd, wake eventfd, mutex and delivery
+/// thread. That thread flushes the queue with vectored writev, reads
+/// the accepted connections, and runs the handler; it is the endpoint's
+/// dedicated delivery thread (rt::onDedicatedDeliveryThread), so a
+/// handler that blocks delays only its own endpoint. post(To) touches
+/// To's endpoint alone.
 ///
 /// Semantics match the in-process Bus deliberately — best-effort
 /// datagram-over-stream: frames to unattached ids are dropped, a
@@ -20,11 +28,14 @@
 /// (sender, destination) pair delivered frames arrive in post() order.
 /// The consensus layer above tolerates all of it by design.
 ///
-/// Threading: attach()/post() run on caller threads and only touch the
-/// mutex-guarded registry/queues (plus thread-safe epoll_ctl for
-/// attach's listener). ALL socket I/O, connection state, and handler
-/// dispatch happen on the one loop thread; detach() rendezvouses with
-/// it, so after detach returns the handler is never invoked again.
+/// Threading: attach()/post() run on caller threads and touch only the
+/// registry and the destination endpoint's mutex-guarded state. Socket
+/// reads and writes and handler dispatch happen on the endpoint's
+/// thread; detach() rendezvouses with it, so after detach returns the
+/// handler is never invoked again (detach must not be called from the
+/// endpoint's own handler). Endpoints, threads included, live until the
+/// transport is destroyed, so a post racing a detach never dangles and
+/// a re-attach reuses them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +51,9 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace adore {
 namespace net {
@@ -51,7 +62,7 @@ namespace net {
 struct TcpTransportOptions {
   /// Per-destination cap on queued-but-unsent bytes; past it, post()
   /// drops frames (datagram semantics — backpressure never blocks a
-  /// node's worker thread).
+  /// posting thread).
   size_t MaxQueuedBytesPerPeer = size_t(1) << 25;
   /// Backoff before re-dialing a destination whose connection dropped
   /// or refused.
@@ -91,14 +102,7 @@ public:
   TcpTransportStats stats() const;
 
 private:
-  /// One attached endpoint: its listener and delivery handler.
-  struct Endpoint {
-    int ListenFd = -1;
-    uint16_t Port = 0;
-    Handler Deliver;
-  };
-
-  /// One outgoing connection's state, keyed by destination id.
+  /// The outgoing connection toward an endpoint, shared by all senders.
   struct Peer {
     int Fd = -1;
     bool Connecting = false; ///< connect() in flight (EINPROGRESS).
@@ -109,64 +113,68 @@ private:
     uint64_t RetryAtUs = 0; ///< Earliest re-dial time (monotonic us).
   };
 
-  /// One accepted inbound connection: frames on it are destined for
-  /// the endpoint whose listener accepted it.
-  struct Inbound {
-    NodeId Dest = InvalidNodeId;
-    FrameSplitter Splitter;
+  /// Everything about frames headed to one id; see the file comment.
+  /// Created on the id's first attach, destroyed with the transport.
+  struct Endpoint {
+    NodeId Id = InvalidNodeId;
+    int EpollFd = -1; ///< Immutable after creation.
+    int WakeFd = -1;  ///< Immutable after creation.
+
+    mutable sync::Mutex Mu;
+    /// Detach rendezvous: the thread bumps DetachGenDone.
+    sync::CondVar Cv;
+    bool Attached ADORE_GUARDED_BY(Mu) = false;
+    Handler Deliver ADORE_GUARDED_BY(Mu);
+    int ListenFd ADORE_GUARDED_BY(Mu) = -1;
+    uint16_t Port ADORE_GUARDED_BY(Mu) = 0;
+    /// Accepted connections, by fd; frames on them are for this id.
+    std::map<int, FrameSplitter> Inbounds ADORE_GUARDED_BY(Mu);
+    Peer Out ADORE_GUARDED_BY(Mu);
+    uint64_t DetachGenRequested ADORE_GUARDED_BY(Mu) = 0;
+    uint64_t DetachGenDone ADORE_GUARDED_BY(Mu) = 0;
+    bool Stop ADORE_GUARDED_BY(Mu) = false;
+
+    std::thread Loop; ///< Started at creation, joined in the dtor.
   };
 
-  /// What an fd in the epoll set is; events carry the fd only.
-  enum class FdKind : uint8_t { Wake, Listen, Inbound, Outgoing };
-  struct FdInfo {
-    FdKind Kind = FdKind::Wake;
-    NodeId Id = InvalidNodeId; ///< Endpoint (Listen/Inbound) or peer.
-  };
+  /// The endpoint registered under \p Id, or null.
+  Endpoint *find(NodeId Id) const ADORE_EXCLUDES(RegMu);
 
-  void loop();
-  /// Loop thread: drain pending detach requests; returns true if any
-  /// were processed (waiters need a notify).
-  bool processCommands() ADORE_REQUIRES(Mu);
-  /// Loop thread: accept everything pending on a listener.
-  void acceptAll(NodeId Dest, int ListenFd);
-  /// Loop thread: read an inbound connection dry, dispatching frames.
-  void serviceInbound(int Fd);
-  /// Loop thread: dial/flush every peer with queued bytes whose retry
-  /// time has passed. Returns the earliest future retry time (0 if
-  /// none).
-  uint64_t servicePeers();
-  /// Loop thread: flush one peer's write queue with writev. Returns
-  /// false if the connection died (already torn down).
-  bool flushPeer(NodeId To, Peer &P) ADORE_REQUIRES(Mu);
-  /// Loop thread: start a non-blocking dial toward \p To. Returns false
-  /// if the destination is unknown (queue dropped).
-  bool dialPeer(NodeId To, Peer &P) ADORE_REQUIRES(Mu);
-  /// Loop thread: tear down a peer's connection and schedule a re-dial.
-  void dropPeerConnection(NodeId To, Peer &P, bool Backoff)
-      ADORE_REQUIRES(Mu);
-  /// Loop thread: close an inbound connection.
-  void closeInbound(int Fd) ADORE_REQUIRES(Mu);
+  /// Endpoint thread: the delivery loop.
+  void loop(Endpoint &E);
+  /// Endpoint thread: retire the endpoint if a detach asked for it;
+  /// returns true if it did (waiters need a notify).
+  bool processDetach(Endpoint &E) ADORE_REQUIRES(E.Mu);
+  /// Endpoint thread: accept everything pending on the listener.
+  void acceptAll(Endpoint &E) ADORE_REQUIRES(E.Mu);
+  /// Endpoint thread: read an inbound connection dry, dispatching
+  /// frames.
+  void serviceInbound(Endpoint &E, int Fd) ADORE_EXCLUDES(E.Mu);
+  /// Endpoint thread: handle an event on the outgoing connection.
+  void serviceOutgoing(Endpoint &E, uint32_t Ev) ADORE_REQUIRES(E.Mu);
+  /// Endpoint thread: dial/flush the outgoing queue if it holds bytes
+  /// and its retry time has passed. Returns the retry time still ahead
+  /// (0 if none).
+  uint64_t servicePeer(Endpoint &E) ADORE_REQUIRES(E.Mu);
+  /// Endpoint thread: flush the write queue with writev.
+  void flushPeer(Endpoint &E) ADORE_REQUIRES(E.Mu);
+  /// Endpoint thread: start a non-blocking dial toward the listener.
+  void dialPeer(Endpoint &E) ADORE_REQUIRES(E.Mu);
+  /// Endpoint thread: tear down the outgoing connection and schedule a
+  /// re-dial.
+  void dropPeerConnection(Endpoint &E) ADORE_REQUIRES(E.Mu);
+  /// Endpoint thread: close an inbound connection.
+  void closeInbound(Endpoint &E, int Fd) ADORE_REQUIRES(E.Mu);
 
   uint64_t nowUs() const;
-  void wakeLoop();
+  static void wake(const Endpoint &E);
 
   TcpTransportOptions Opts;
 
-  mutable sync::Mutex Mu;
-  std::map<NodeId, Endpoint> Endpoints ADORE_GUARDED_BY(Mu);
-  std::map<NodeId, Peer> Peers ADORE_GUARDED_BY(Mu);
-  std::map<int, Inbound> Inbounds ADORE_GUARDED_BY(Mu);
-  std::map<int, FdInfo> Fds ADORE_GUARDED_BY(Mu);
-  /// Detach rendezvous: ids queued for the loop thread to retire, and
-  /// the generation counter it bumps when the queue is drained.
-  std::vector<NodeId> DetachQ ADORE_GUARDED_BY(Mu);
-  uint64_t DetachGenRequested ADORE_GUARDED_BY(Mu) = 0;
-  uint64_t DetachGenDone ADORE_GUARDED_BY(Mu) = 0;
-  bool Stop ADORE_GUARDED_BY(Mu) = false;
-  sync::CondVar Cv;
-
-  int EpollFd = -1; ///< Immutable after construction.
-  int WakeFd = -1;  ///< Immutable after construction.
+  /// Guards the id -> endpoint map only; entries are never erased
+  /// before the dtor, so a looked-up pointer stays valid.
+  mutable sync::Mutex RegMu;
+  std::map<NodeId, std::unique_ptr<Endpoint>> Registry ADORE_GUARDED_BY(RegMu);
 
   std::atomic<uint64_t> FramesDelivered{0};
   std::atomic<uint64_t> FramesDropped{0};
@@ -175,8 +183,6 @@ private:
   std::atomic<uint64_t> Dials{0};
   std::atomic<uint64_t> Accepts{0};
   std::atomic<uint64_t> ConnectionDrops{0};
-
-  std::thread Loop; ///< Started last in the ctor, joined in the dtor.
 };
 
 } // namespace net

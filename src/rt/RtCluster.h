@@ -38,7 +38,7 @@ namespace rt {
 /// its nodes to when it owns the fabric itself.
 enum class TransportKind : uint8_t {
   Bus, ///< In-process rt::Bus, synchronous delivery (the default).
-  Tcp, ///< Loopback TCP via net::TcpTransport (epoll loop thread).
+  Tcp, ///< Loopback TCP via net::TcpTransport (a loop per endpoint).
 };
 
 /// Knobs for an RtCluster run. Core timeouts default much faster than

@@ -27,8 +27,9 @@ RtNode::RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
 RtNode::~RtNode() {
   stop();
   // End the endpoint's transport lifetime before members die: an
-  // asynchronous transport (TCP loop thread) may still hold buffered
-  // frames for this id, and must stop invoking enqueueFrame now.
+  // asynchronous transport (a TCP endpoint's delivery thread) may still
+  // hold buffered frames for this id, and must stop invoking
+  // enqueueFrame now.
   Net->detach(Id);
 }
 
@@ -108,7 +109,10 @@ void RtNode::enqueueFrame(std::string Frame) {
   Item It;
   It.K = Item::Kind::Frame;
   It.Frame = std::move(Frame);
-  enqueue(std::move(It), !R.hasStore() && InlineDepth != 0);
+  // The node's own dedicated delivery thread serves it alone, so it may
+  // run the node (and block on its store) without holding up anyone.
+  enqueue(std::move(It), onDedicatedDeliveryThread(Id) ||
+                             (!R.hasStore() && InlineDepth != 0));
 }
 
 void RtNode::submit(MethodId Method, uint64_t ClientSeq) {

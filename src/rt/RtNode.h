@@ -19,23 +19,26 @@
 /// completion; one that finds it owned only appends (no wake-up), and
 /// the owner re-checks the inbox under the same mutex before it
 /// releases, so nothing is stranded. A thread may run a node inline
-/// only if (a) the node has no store — a borrowed thread must never wait
-/// on a WAL fsync — and (b) the input is a client call (submit, read,
-/// reconfig, crash, restart) or a frame posted by a thread that is
-/// itself running a replica inline. That keeps a transport's own
-/// delivery thread (the TCP epoll loop) out, and keeps replicas on
-/// their own workers once load has pushed work there. An inline owner
-/// hands the rest of the inbox to the worker after MaxInlineDispatches
-/// dispatches.
+/// when the input is a frame and the thread is the transport's
+/// dedicated delivery thread for this node (rt::onDedicatedDeliveryThread
+/// — each TCP endpoint's own thread), store or not: that thread serves
+/// this node alone, so a WAL fsync on it delays nobody else. Any other
+/// thread is borrowed and may run the node only if (a) the node has no
+/// store — a borrowed thread must never wait on a WAL fsync — and (b)
+/// the input is a client call (submit, read, reconfig, crash, restart)
+/// or a frame posted by a thread that is itself running a replica
+/// inline, which keeps replicas on their own workers once load has
+/// pushed work there. An inline owner hands the rest of the inbox to
+/// the worker after MaxInlineDispatches dispatches.
 ///
 /// Each node keeps one worker thread for everything else: store-backed
-/// nodes, frames from non-replica threads, handed-back work, and the
-/// core's timers. SetTimer effects become steady_clock deadlines; a
-/// release publishes the earliest one and wakes the worker only if it
-/// moved before the deadline the worker is sleeping toward. Whenever an
-/// owner finds the inbox empty it flushes a partial append batch
-/// (core::RaftCore::flushAppendBatch), so a lone request never waits for
-/// the batch to fill or for a heartbeat.
+/// client calls, frames from threads that may not run the node,
+/// handed-back work, and the core's timers. SetTimer effects become
+/// steady_clock deadlines; a release publishes the earliest one and
+/// wakes the worker only if it moved before the deadline the worker is
+/// sleeping toward. Whenever an owner finds the inbox empty it flushes
+/// a partial append batch (core::RaftCore::flushAppendBatch), so a lone
+/// request never waits for the batch to fill or for a heartbeat.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,17 +94,18 @@ public:
   static constexpr size_t MaxInlineDispatches = 64;
 
   /// \p Store, when non-null, makes persistence real (see
-  /// host::Replica); store-backed nodes run only on their worker thread.
+  /// host::Replica); store-backed nodes run only on their worker thread
+  /// or their own dedicated delivery thread.
   ///
   /// Each hook runs on whichever thread is running the step that
-  /// produced it — the node's worker, or a client or peer thread running
-  /// the node inline — and must be thread-safe against every other
-  /// node's steps. A hook may call into a node (an inline call there may
-  /// run that node's steps, and so hooks, on this thread), but never
-  /// while holding a lock that hooks take; audited holders:
-  /// RtCluster::ObsMu, ShardedRtCluster::MapMu and the chaos drivers'
-  /// HealMu are all released before any node call. A hook must never
-  /// call start() or stop().
+  /// produced it — the node's worker, its dedicated delivery thread, or
+  /// a client or peer thread running the node inline — and must be
+  /// thread-safe against every other node's steps. A hook may call into
+  /// a node (an inline call there may run that node's steps, and so
+  /// hooks, on this thread), but never while holding a lock that hooks
+  /// take; audited holders: RtCluster::ObsMu, ShardedRtCluster::MapMu
+  /// and the chaos drivers' HealMu are all released before any node
+  /// call. A hook must never call start() or stop().
   RtNode(NodeId Id, const ReconfigScheme &Scheme, Config InitialConf,
          core::CoreOptions Opts, uint64_t Seed, Transport &Net,
          host::Hooks Hooks, store::NodeStore *Store = nullptr,

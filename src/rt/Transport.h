@@ -14,10 +14,10 @@
 /// about arrival.
 ///
 /// Implementations: rt::Bus (in-process, synchronous delivery on the
-/// posting thread) and net::TcpTransport (loopback TCP with an epoll
-/// loop, length-framed streams, reconnect-on-drop). Hosts (RtNode)
-/// program against this interface only, so the whole rt/chaos/bench
-/// stack runs unmodified over either fabric.
+/// posting thread) and net::TcpTransport (loopback TCP, one delivery
+/// loop per endpoint, length-framed streams, reconnect-on-drop). Hosts
+/// (RtNode) program against this interface only, so the whole
+/// rt/chaos/bench stack runs unmodified over either fabric.
 ///
 /// Contract for implementations:
 ///  - attach(Id, H) replaces any previous handler for Id; the handler
@@ -31,6 +31,16 @@
 ///  - post(To, Frame) never blocks on the receiver; per (sender,
 ///    receiver) pair, frames that do arrive arrive in post() order.
 ///
+/// Dedicated delivery threads: an implementation may run an endpoint's
+/// handler on a thread that serves that endpoint alone. While it does,
+/// onDedicatedDeliveryThread(Id) is true on that thread, and the
+/// handler may block (say, on a WAL fsync) without delaying delivery to
+/// any other endpoint. The flag is a thread_local the implementation
+/// sets on its own thread, so decorators that wrap a handler stay
+/// transparent. rt::Bus has no such threads (a Bus handler runs on the
+/// poster's thread, which may serve anything); net::TcpTransport runs
+/// every endpoint's handler on one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ADORE_RT_TRANSPORT_H
@@ -43,6 +53,23 @@
 
 namespace adore {
 namespace rt {
+
+namespace detail {
+/// The endpoint the calling thread delivers to alone, or InvalidNodeId.
+inline thread_local NodeId DedicatedDeliveryId = InvalidNodeId;
+} // namespace detail
+
+/// True iff the calling thread is a transport's dedicated delivery
+/// thread for \p Id (see the file comment).
+inline bool onDedicatedDeliveryThread(NodeId Id) {
+  return Id != InvalidNodeId && detail::DedicatedDeliveryId == Id;
+}
+
+/// For implementations: marks the calling thread, for its lifetime, as
+/// the one that delivers to \p Id alone.
+inline void markDedicatedDeliveryThread(NodeId Id) {
+  detail::DedicatedDeliveryId = Id;
+}
 
 /// Abstract point-to-point frame transport; see the file comment for
 /// the endpoint-lifecycle and delivery contract.

@@ -7,17 +7,21 @@
 // Covers the net layer on its own terms: FrameSplitter reassembly
 // across arbitrary chunk boundaries, the poisoned-stream contract, and
 // the loopback TcpTransport's datagram-over-stream semantics (delivery,
-// ordering, drops to unknown ids, detach/reattach with new ports, and
-// the stats counters the bench reports).
+// ordering, drops to unknown ids, detach/reattach with new ports, the
+// stats counters the bench reports, and the per-endpoint delivery
+// threads: each handler runs on a thread of its own endpoint, so one
+// that blocks holds up no other).
 //
 //===----------------------------------------------------------------------===//
 
 #include "net/Framing.h"
 #include "net/TcpTransport.h"
+#include "rt/Bus.h"
 #include "support/Sync.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -60,7 +64,26 @@ struct Catcher {
   }
 };
 
-/// Polls \p Pred (stats are updated on the loop thread) up to a bound.
+/// A gate a handler can block on until the test opens it.
+struct Gate {
+  sync::Mutex Mu;
+  sync::CondVar Cv;
+  bool Open = false;
+
+  void wait() {
+    sync::MutexLock Lock(Mu);
+    while (!Open)
+      Cv.wait(Mu);
+  }
+  void open() {
+    sync::MutexLock Lock(Mu);
+    Open = true;
+    Cv.notifyAll();
+  }
+};
+
+/// Polls \p Pred (stats are updated on the delivery threads) up to a
+/// bound.
 template <typename Fn> bool eventually(Fn &&Pred, uint64_t TimeoutMs = 5000) {
   auto Deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(TimeoutMs);
@@ -168,7 +191,7 @@ TEST(TcpTransportTest, DropsFramesToUnknownIds) {
   Catcher A;
   T.attach(1, A.handler());
   T.post(99, "into the void");
-  // The drop is counted once the loop thread fails the dial lookup.
+  // post() counts the drop itself: no endpoint is registered under 99.
   EXPECT_TRUE(eventually([&] { return T.stats().FramesDropped >= 1; }));
   EXPECT_EQ(T.stats().FramesDelivered, 0u);
 }
@@ -276,4 +299,63 @@ TEST(TcpTransportTest, TwoFabricsAreDisjoint) {
   EXPECT_TRUE(eventually([&] { return T1.stats().FramesDropped >= 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(OnT2.snapshot().size(), 0u);
+}
+
+TEST(TcpTransportTest, ABlockedHandlerDelaysOnlyItsOwnEndpoint) {
+  // Endpoint 1's handler blocks, as a store-backed replica's does on a
+  // WAL fsync. A frame to endpoint 2 must still arrive meanwhile: the
+  // property that lets a replica step on its own delivery thread.
+  Gate G;
+  TcpTransport T;
+  // Declared after T, so it opens the gate before T joins its threads.
+  struct Opener {
+    Gate &G;
+    ~Opener() { G.open(); }
+  } OpenOnExit{G};
+  std::atomic<bool> Entered{false};
+  T.attach(1, [&](std::string) {
+    Entered.store(true);
+    G.wait();
+  });
+  Catcher B;
+  T.attach(2, B.handler());
+  T.post(1, "blocks");
+  ASSERT_TRUE(eventually([&] { return Entered.load(); }));
+  T.post(2, "gets through");
+  EXPECT_TRUE(B.await(1, 3000));
+}
+
+TEST(TcpTransportTest, HandlerRunsOnItsEndpointsDedicatedThread) {
+  // Inside a handler, onDedicatedDeliveryThread holds for the handler's
+  // own id and for no other; on a Bus handler and on a client thread it
+  // holds for none.
+  auto Probe = [](NodeId Own, Catcher &C) {
+    rt::Transport::Handler H = C.handler();
+    return [Own, H](std::string) {
+      std::string Seen;
+      for (NodeId Id : {NodeId(1), NodeId(2), NodeId(3)})
+        if (rt::onDedicatedDeliveryThread(Id))
+          Seen += std::to_string(Id);
+      H(std::to_string(Own) + ":" + Seen);
+    };
+  };
+  TcpTransport T;
+  Catcher A, B;
+  T.attach(1, Probe(1, A));
+  T.attach(2, Probe(2, B));
+  T.post(1, "x");
+  T.post(2, "y");
+  ASSERT_TRUE(A.await(1));
+  ASSERT_TRUE(B.await(1));
+  EXPECT_EQ(A.snapshot()[0], "1:1");
+  EXPECT_EQ(B.snapshot()[0], "2:2");
+
+  rt::Bus Net;
+  Catcher OnBus;
+  Net.attach(1, Probe(1, OnBus));
+  Net.post(1, "z");
+  ASSERT_EQ(OnBus.snapshot().size(), 1u);
+  EXPECT_EQ(OnBus.snapshot()[0], "1:");
+  for (NodeId Id : {NodeId(1), NodeId(2), InvalidNodeId})
+    EXPECT_FALSE(rt::onDedicatedDeliveryThread(Id));
 }

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -775,4 +776,42 @@ TEST(RtNodeTest, NoHookFiresAfterStopReturnsUnderClientTraffic) {
     N->stop();
   EXPECT_GT(Hooks.load(), 0u);
   EXPECT_EQ(Late.load(), 0u);
+}
+
+TEST(RtNodeTest, StoreBackedTcpFollowerStepsOnItsDeliveryThread) {
+  // Over TCP each endpoint has a delivery thread of its own, and a
+  // store-backed replica steps there instead of waking its worker. At
+  // least one follower apply must be seen on that thread, and the
+  // durable cluster must stay correct through a follower crash/restart
+  // (checkFinalAgreement folds in every node's storeMismatches()).
+  constexpr NodeId MaxId = 8;
+  std::array<std::atomic<uint64_t>, MaxId + 1> OnDelivery{};
+  RtClusterOptions Opts;
+  Opts.Transport = TransportKind::Tcp;
+  Opts.DurableStore = true;
+  Opts.Seed = 53;
+  Opts.OnApplyExtra = [&](NodeId N, size_t, const core::LogEntry &) {
+    if (N <= MaxId && onDedicatedDeliveryThread(N))
+      ++OnDelivery[N];
+  };
+  RtCluster C(Opts);
+  C.start();
+  NodeId Leader = C.waitForLeader(10000);
+  ASSERT_NE(Leader, InvalidNodeId);
+  for (MethodId M = 1; M <= 20; ++M)
+    ASSERT_TRUE(C.submitAndWait(M, 10000));
+  NodeId Victim = Leader == 1 ? 2 : 1;
+  C.crash(Victim);
+  C.restart(Victim);
+  for (MethodId M = 21; M <= 30; ++M)
+    ASSERT_TRUE(C.submitAndWait(M, 10000));
+  C.stop();
+
+  uint64_t FollowerApplies = 0;
+  for (NodeId N = 1; N <= MaxId; ++N)
+    if (N != Leader)
+      FollowerApplies += OnDelivery[N].load();
+  EXPECT_GE(FollowerApplies, 1u);
+  EXPECT_TRUE(C.violations().empty());
+  EXPECT_TRUE(C.checkFinalAgreement().empty());
 }
